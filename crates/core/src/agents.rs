@@ -99,54 +99,11 @@ impl Persist for RlKind {
     }
 }
 
-impl Persist for Decision {
-    fn persist(&self, w: &mut Writer) {
-        let Decision { candidates, action } = self;
-        candidates.persist(w);
-        action.persist(w);
-    }
+fastft_tabular::persist_struct!(Decision { candidates, action });
 
-    fn restore(r: &mut Reader) -> PersistResult<Self> {
-        Ok(Decision { candidates: Persist::restore(r)?, action: Persist::restore(r)? })
-    }
-}
-
-impl Persist for MemoryUnit {
-    fn persist(&self, w: &mut Writer) {
-        let MemoryUnit {
-            state,
-            next_state,
-            reward,
-            head,
-            op,
-            tail,
-            next_head_candidates,
-            seq,
-            perf,
-        } = self;
-        state.persist(w);
-        next_state.persist(w);
-        reward.persist(w);
-        head.persist(w);
-        op.persist(w);
-        tail.persist(w);
-        next_head_candidates.persist(w);
-        seq.persist(w);
-        perf.persist(w);
-    }
-
-    fn restore(r: &mut Reader) -> PersistResult<Self> {
-        Ok(MemoryUnit {
-            state: Persist::restore(r)?,
-            next_state: Persist::restore(r)?,
-            reward: Persist::restore(r)?,
-            head: Persist::restore(r)?,
-            op: Persist::restore(r)?,
-            tail: Persist::restore(r)?,
-            next_head_candidates: Persist::restore(r)?,
-            seq: Persist::restore(r)?,
-            perf: Persist::restore(r)?,
-        })
+fastft_tabular::persist_struct! {
+    MemoryUnit {
+        state, next_state, reward, head, op, tail, next_head_candidates, seq, perf,
     }
 }
 

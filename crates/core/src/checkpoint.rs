@@ -12,32 +12,38 @@
 //! stats, the best-so-far feature set and the full telemetry counters all
 //! round-trip through the file. Wall-time-only state (the encoder prefix
 //! caches) is deliberately *not* captured — it is rebuilt cold, which
-//! changes `prefix_hits`/`prefix_misses` but never a score.
+//! changes how later `prefix_hits`/`prefix_misses` accrue but never a
+//! score. The counters accrued before the checkpoint travel in the
+//! telemetry.
 //!
-//! Format: magic `FFTCKPT1`, a `u32` version, then the configuration and
-//! snapshot in the workspace-wide [`Persist`] layout (little-endian, `f64`
-//! as IEEE-754 bits, so floats survive exactly). Every component encodes
-//! itself next to its own definition — this module only concatenates the
-//! pieces, so it never enumerates another component's internals. Files are
-//! written to a temporary sibling and atomically renamed into place, so a
-//! crash mid-write never corrupts the previous checkpoint.
+//! Format: magic `FFTCKPT1`, a `u32` version (currently 2), then the
+//! configuration and snapshot in the workspace-wide [`Persist`] layout
+//! (little-endian, `f64` as IEEE-754 bits, so floats survive exactly).
+//! Every component encodes itself next to its own definition — this module
+//! only concatenates the pieces, so it never enumerates another component's
+//! internals. Files are written to a temporary sibling, flushed to disk,
+//! atomically renamed into place, and the directory entry is flushed too,
+//! so neither a crash mid-write nor a power loss after [`write()`] returns
+//! leaves a corrupt or missing checkpoint.
 //!
 //! [`FastFtConfig::checkpoint_every`]: crate::config::FastFtConfig::checkpoint_every
 
 use crate::agents::{AgentsState, MemoryUnit};
 use crate::config::FastFtConfig;
 use crate::engine::{StepRecord, Telemetry};
-use crate::scoring::ScoreStats;
 use fastft_nn::NetState;
 use fastft_tabular::persist::{Persist, PersistResult, Reader, Writer};
 use fastft_tabular::{Dataset, FastFtError, FastFtResult, TaskType};
+use std::io::Write as _;
 use std::path::Path;
 
 /// File magic: identifies a FASTFT checkpoint.
 pub const MAGIC: [u8; 8] = *b"FFTCKPT1";
-/// Current format version. Bumped on any layout change; older readers
-/// reject newer files with a typed error instead of misparsing them.
-pub const VERSION: u32 = 1;
+/// Current format version. Bumped on any layout change; a reader rejects
+/// any other version with a typed error instead of misparsing it.
+/// Version 2 dropped the configuration flag that switched off batched
+/// scoring and the snapshot's separate prefix-cache counter baseline.
+pub const VERSION: u32 = 2;
 
 /// Replay-buffer contents in slot order, matching the configured variant —
 /// the generic [`fastft_rl::ReplayState`] instantiated with the engine's
@@ -97,102 +103,16 @@ pub struct Snapshot {
     pub nov_mean: f64,
     /// Welford running sum of squared deviations.
     pub nov_m2: f64,
-    /// Prefix-cache/batching counters accumulated before the boundary
-    /// (fresh caches start from zero after resume and are merged on top).
-    pub stats_baseline: ScoreStats,
     /// Quarantined candidate keys, least recently used first.
     pub quarantine: Vec<String>,
 }
 
-impl Persist for Snapshot {
-    fn persist(&self, w: &mut Writer) {
-        // Exhaustive destructure: a new snapshot field refuses to compile
-        // until it is persisted here and restored below.
-        let Snapshot {
-            data_fingerprint,
-            next_episode,
-            global_step,
-            base_score,
-            best_score,
-            best_exprs,
-            best_columns,
-            records,
-            episode_best,
-            telemetry,
-            rng,
-            agents,
-            predictor,
-            novelty,
-            replay,
-            tracker_history,
-            tracker_seen,
-            eval_cache,
-            eval_history,
-            pred_history,
-            nov_history,
-            nov_count,
-            nov_mean,
-            nov_m2,
-            stats_baseline,
-            quarantine,
-        } = self;
-        data_fingerprint.persist(w);
-        next_episode.persist(w);
-        global_step.persist(w);
-        base_score.persist(w);
-        best_score.persist(w);
-        best_exprs.persist(w);
-        best_columns.persist(w);
-        records.persist(w);
-        episode_best.persist(w);
-        telemetry.persist(w);
-        rng.persist(w);
-        agents.persist(w);
-        predictor.persist(w);
-        novelty.persist(w);
-        replay.persist(w);
-        tracker_history.persist(w);
-        tracker_seen.persist(w);
-        eval_cache.persist(w);
-        eval_history.persist(w);
-        pred_history.persist(w);
-        nov_history.persist(w);
-        nov_count.persist(w);
-        nov_mean.persist(w);
-        nov_m2.persist(w);
-        stats_baseline.persist(w);
-        quarantine.persist(w);
-    }
-
-    fn restore(r: &mut Reader) -> PersistResult<Self> {
-        Ok(Snapshot {
-            data_fingerprint: Persist::restore(r)?,
-            next_episode: Persist::restore(r)?,
-            global_step: Persist::restore(r)?,
-            base_score: Persist::restore(r)?,
-            best_score: Persist::restore(r)?,
-            best_exprs: Persist::restore(r)?,
-            best_columns: Persist::restore(r)?,
-            records: Persist::restore(r)?,
-            episode_best: Persist::restore(r)?,
-            telemetry: Persist::restore(r)?,
-            rng: Persist::restore(r)?,
-            agents: Persist::restore(r)?,
-            predictor: Persist::restore(r)?,
-            novelty: Persist::restore(r)?,
-            replay: Persist::restore(r)?,
-            tracker_history: Persist::restore(r)?,
-            tracker_seen: Persist::restore(r)?,
-            eval_cache: Persist::restore(r)?,
-            eval_history: Persist::restore(r)?,
-            pred_history: Persist::restore(r)?,
-            nov_history: Persist::restore(r)?,
-            nov_count: Persist::restore(r)?,
-            nov_mean: Persist::restore(r)?,
-            nov_m2: Persist::restore(r)?,
-            stats_baseline: Persist::restore(r)?,
-            quarantine: Persist::restore(r)?,
-        })
+fastft_tabular::persist_struct! {
+    Snapshot {
+        data_fingerprint, next_episode, global_step, base_score, best_score, best_exprs,
+        best_columns, records, episode_best, telemetry, rng, agents, predictor, novelty, replay,
+        tracker_history, tracker_seen, eval_cache, eval_history, pred_history, nov_history,
+        nov_count, nov_mean, nov_m2, quarantine,
     }
 }
 
@@ -280,16 +200,36 @@ pub fn decode(bytes: &[u8]) -> FastFtResult<(FastFtConfig, Snapshot)> {
     run(&mut r).map_err(|e| FastFtError::Parse(format!("checkpoint: {e}")))
 }
 
-/// Write a checkpoint atomically: encode, write to a `.tmp` sibling, then
-/// rename over `path`. A crash mid-write leaves any previous checkpoint
-/// intact.
+/// Write a checkpoint atomically and durably: encode, write to a `.tmp`
+/// sibling and fsync it, rename it over `path`, then fsync the parent
+/// directory so the rename itself survives a power loss. A crash at any
+/// point leaves either the previous checkpoint or the new one, whole.
 pub fn write(path: &Path, cfg: &FastFtConfig, snap: &Snapshot) -> FastFtResult<()> {
     let bytes = encode(cfg, snap);
     let mut tmp = path.as_os_str().to_owned();
     tmp.push(".tmp");
     let tmp = std::path::PathBuf::from(tmp);
-    std::fs::write(&tmp, &bytes).map_err(|e| FastFtError::io(&tmp, &e))?;
-    std::fs::rename(&tmp, path).map_err(|e| FastFtError::io(path, &e))
+    let io_tmp = |e: std::io::Error| FastFtError::io(&tmp, &e);
+    let mut file = std::fs::File::create(&tmp).map_err(io_tmp)?;
+    file.write_all(&bytes).map_err(io_tmp)?;
+    file.sync_all().map_err(io_tmp)?;
+    drop(file);
+    std::fs::rename(&tmp, path).map_err(|e| FastFtError::io(path, &e))?;
+    sync_parent_dir(path)
+}
+
+/// Flush the directory entry of `path` to disk. Directories cannot be
+/// opened for syncing on Windows; there the rename is already durable
+/// once it returns.
+fn sync_parent_dir(path: &Path) -> FastFtResult<()> {
+    if cfg!(windows) {
+        return Ok(());
+    }
+    let dir = match path.parent() {
+        Some(p) if !p.as_os_str().is_empty() => p,
+        _ => Path::new("."),
+    };
+    std::fs::File::open(dir).and_then(|d| d.sync_all()).map_err(|e| FastFtError::io(dir, &e))
 }
 
 /// Read and parse a checkpoint file.
@@ -355,6 +295,7 @@ mod tests {
                 cache_hits: 2,
                 eval_faults: 1,
                 quarantined: 1,
+                score_batches: 4,
                 total_secs: 1.25,
                 ..Telemetry::default()
             },
@@ -382,7 +323,6 @@ mod tests {
             nov_count: 3,
             nov_mean: 0.4,
             nov_m2: 0.02,
-            stats_baseline: ScoreStats { batches: 4, ..ScoreStats::default() },
             quarantine: vec!["bad-key".into()],
         }
     }
@@ -407,7 +347,7 @@ mod tests {
         assert_eq!(snap2.quarantine, snap.quarantine);
         assert_eq!(snap2.telemetry.downstream_evals, 9);
         assert_eq!(snap2.telemetry.eval_faults, 1);
-        assert_eq!(snap2.stats_baseline, snap.stats_baseline);
+        assert_eq!(snap2.telemetry.score_batches, 4);
         assert_eq!(snap2.nov_m2.to_bits(), snap.nov_m2.to_bits());
     }
 
@@ -423,11 +363,27 @@ mod tests {
     }
 
     #[test]
+    fn decode_rejects_version_1_files() {
+        let mut bytes = encode(&FastFtConfig::quick(), &sample_snapshot());
+        bytes[MAGIC.len()..MAGIC.len() + 4].copy_from_slice(&1u32.to_le_bytes());
+        match decode(&bytes) {
+            Err(FastFtError::Parse(msg)) => {
+                assert!(msg.contains("unsupported checkpoint version 1"), "{msg}");
+            }
+            other => panic!("expected a parse error, got {other:?}"),
+        }
+    }
+
+    #[test]
     fn decode_rejects_truncation_anywhere() {
         let bytes = encode(&FastFtConfig::quick(), &sample_snapshot());
-        // Every strict prefix must fail cleanly, never panic.
-        for cut in [10, 50, 200, bytes.len() / 2, bytes.len() - 1] {
-            assert!(decode(&bytes[..cut]).is_err(), "prefix of {cut} bytes decoded");
+        // Every strict prefix must fail cleanly with a parse error, never
+        // panic.
+        for cut in 0..bytes.len() {
+            assert!(
+                matches!(decode(&bytes[..cut]), Err(FastFtError::Parse(_))),
+                "prefix of {cut} bytes did not fail to parse"
+            );
         }
         // Trailing garbage is rejected too.
         let mut long = bytes.clone();

@@ -9,7 +9,6 @@
 use crate::agents::RlKind;
 use fastft_ml::Evaluator;
 use fastft_nn::EncoderKind;
-use fastft_tabular::persist::{Persist, PersistResult, Reader, Writer};
 use fastft_tabular::{FastFtError, FastFtResult};
 
 /// Full configuration of a FASTFT run.
@@ -68,10 +67,6 @@ pub struct FastFtConfig {
     /// least-recently-used entries are evicted past this capacity
     /// (`telemetry.cache_evictions` counts them). `0` disables the cap.
     pub eval_cache_capacity: usize,
-    /// Score predictor + novelty estimator with batched calls in the engine
-    /// step loop instead of one network invocation per sequence. Bitwise
-    /// identical results either way; batching only changes wall time.
-    pub batched_scoring: bool,
     /// Capacity of the per-network prefix-state caches used by cached
     /// scoring: recurrent encoder states are memoised per token prefix so a
     /// suffix-extended sequence only runs the new tokens (`0` disables).
@@ -146,7 +141,6 @@ impl Default for FastFtConfig {
             mi_bins: 12,
             evaluator: Evaluator::default(),
             eval_cache_capacity: 1024,
-            batched_scoring: true,
             prefix_cache_capacity: 256,
             minibatch: 0,
             seed: 0,
@@ -279,132 +273,14 @@ impl FastFtConfig {
     }
 }
 
-impl Persist for FastFtConfig {
-    fn persist(&self, w: &mut Writer) {
-        // Exhaustive destructure: adding a configuration field refuses to
-        // compile until it is persisted here (and restored below, where the
-        // field-init shorthand would flag a missing field the same way).
-        let FastFtConfig {
-            episodes,
-            steps_per_episode,
-            cold_start_episodes,
-            retrain_every,
-            retrain_epochs,
-            alpha,
-            beta,
-            eps_start,
-            eps_end,
-            decay_m,
-            memory_size,
-            gamma,
-            lr,
-            agent_lr,
-            agent_hidden,
-            max_features_factor,
-            max_features_cap,
-            max_new_per_step,
-            max_seq_len,
-            cluster_threshold,
-            mi_bins,
-            evaluator,
-            eval_cache_capacity,
-            batched_scoring,
-            prefix_cache_capacity,
-            minibatch,
-            seed,
-            use_predictor,
-            use_novelty,
-            prioritized_replay,
-            encoder,
-            rl,
-            threads,
-            checkpoint_every,
-            checkpoint_path,
-            max_wall_secs,
-            max_downstream_evals,
-            eval_retries,
-        } = self;
-        episodes.persist(w);
-        steps_per_episode.persist(w);
-        cold_start_episodes.persist(w);
-        retrain_every.persist(w);
-        retrain_epochs.persist(w);
-        alpha.persist(w);
-        beta.persist(w);
-        eps_start.persist(w);
-        eps_end.persist(w);
-        decay_m.persist(w);
-        memory_size.persist(w);
-        gamma.persist(w);
-        lr.persist(w);
-        agent_lr.persist(w);
-        agent_hidden.persist(w);
-        max_features_factor.persist(w);
-        max_features_cap.persist(w);
-        max_new_per_step.persist(w);
-        max_seq_len.persist(w);
-        cluster_threshold.persist(w);
-        mi_bins.persist(w);
-        evaluator.persist(w);
-        eval_cache_capacity.persist(w);
-        batched_scoring.persist(w);
-        prefix_cache_capacity.persist(w);
-        minibatch.persist(w);
-        seed.persist(w);
-        use_predictor.persist(w);
-        use_novelty.persist(w);
-        prioritized_replay.persist(w);
-        encoder.persist(w);
-        rl.persist(w);
-        threads.persist(w);
-        checkpoint_every.persist(w);
-        checkpoint_path.persist(w);
-        max_wall_secs.persist(w);
-        max_downstream_evals.persist(w);
-        eval_retries.persist(w);
-    }
-
-    fn restore(r: &mut Reader) -> PersistResult<Self> {
-        Ok(FastFtConfig {
-            episodes: Persist::restore(r)?,
-            steps_per_episode: Persist::restore(r)?,
-            cold_start_episodes: Persist::restore(r)?,
-            retrain_every: Persist::restore(r)?,
-            retrain_epochs: Persist::restore(r)?,
-            alpha: Persist::restore(r)?,
-            beta: Persist::restore(r)?,
-            eps_start: Persist::restore(r)?,
-            eps_end: Persist::restore(r)?,
-            decay_m: Persist::restore(r)?,
-            memory_size: Persist::restore(r)?,
-            gamma: Persist::restore(r)?,
-            lr: Persist::restore(r)?,
-            agent_lr: Persist::restore(r)?,
-            agent_hidden: Persist::restore(r)?,
-            max_features_factor: Persist::restore(r)?,
-            max_features_cap: Persist::restore(r)?,
-            max_new_per_step: Persist::restore(r)?,
-            max_seq_len: Persist::restore(r)?,
-            cluster_threshold: Persist::restore(r)?,
-            mi_bins: Persist::restore(r)?,
-            evaluator: Persist::restore(r)?,
-            eval_cache_capacity: Persist::restore(r)?,
-            batched_scoring: Persist::restore(r)?,
-            prefix_cache_capacity: Persist::restore(r)?,
-            minibatch: Persist::restore(r)?,
-            seed: Persist::restore(r)?,
-            use_predictor: Persist::restore(r)?,
-            use_novelty: Persist::restore(r)?,
-            prioritized_replay: Persist::restore(r)?,
-            encoder: Persist::restore(r)?,
-            rl: Persist::restore(r)?,
-            threads: Persist::restore(r)?,
-            checkpoint_every: Persist::restore(r)?,
-            checkpoint_path: Persist::restore(r)?,
-            max_wall_secs: Persist::restore(r)?,
-            max_downstream_evals: Persist::restore(r)?,
-            eval_retries: Persist::restore(r)?,
-        })
+fastft_tabular::persist_struct! {
+    FastFtConfig {
+        episodes, steps_per_episode, cold_start_episodes, retrain_every, retrain_epochs, alpha,
+        beta, eps_start, eps_end, decay_m, memory_size, gamma, lr, agent_lr, agent_hidden,
+        max_features_factor, max_features_cap, max_new_per_step, max_seq_len, cluster_threshold,
+        mi_bins, evaluator, eval_cache_capacity, prefix_cache_capacity, minibatch, seed,
+        use_predictor, use_novelty, prioritized_replay, encoder, rl, threads, checkpoint_every,
+        checkpoint_path, max_wall_secs, max_downstream_evals, eval_retries,
     }
 }
 
@@ -475,8 +351,6 @@ impl FastFtConfigBuilder {
         evaluator: Evaluator,
         /// Evaluation memo-cache capacity (0 = unbounded).
         eval_cache_capacity: usize,
-        /// Batched predictor/novelty scoring in the step loop.
-        batched_scoring: bool,
         /// Prefix-state cache capacity for cached scoring (0 = disabled).
         prefix_cache_capacity: usize,
         /// Fine-tuning minibatch size (0 = per-sample steps).
@@ -576,16 +450,10 @@ mod tests {
     #[test]
     fn scoring_knobs() {
         let c = FastFtConfig::default();
-        assert!(c.batched_scoring);
         assert_eq!(c.prefix_cache_capacity, 256);
         assert_eq!(c.minibatch, 0);
-        let c = FastFtConfig::builder()
-            .batched_scoring(false)
-            .prefix_cache_capacity(0)
-            .minibatch(8)
-            .build()
-            .unwrap();
-        assert!(!c.batched_scoring);
+        // `prefix_cache_capacity = 0` is the off switch for cached scoring.
+        let c = FastFtConfig::builder().prefix_cache_capacity(0).minibatch(8).build().unwrap();
         assert_eq!(c.prefix_cache_capacity, 0);
         assert_eq!(c.minibatch, 8);
     }

@@ -15,24 +15,19 @@
 //!    components fine-tune every `retrain_every` episodes.
 //!
 //! The run loop itself lives in [`crate::pipeline`]: a staged
-//! [`Driver`](crate::pipeline::Driver) composing
+//! [`Driver`] composing
 //! [`CandidateSource`](crate::pipeline::CandidateSource),
 //! [`RewardModel`](crate::pipeline::RewardModel) and
 //! [`Learner`](crate::pipeline::Learner) stages over a single
 //! [`SearchState`](crate::pipeline::SearchState). [`FastFt`] is a thin
-//! façade over [`Session`](crate::pipeline::Session) that keeps the
+//! façade over [`Session`] that keeps the
 //! original one-call API.
 
 use crate::checkpoint;
 use crate::config::FastFtConfig;
-use crate::expr::Expr;
-use crate::parse::parse_expr;
 use crate::pipeline::{Driver, NullObserver, Session};
-use crate::transform::FeatureSet;
-use fastft_tabular::{Column, Dataset};
-use fastft_tabular::{FastFtError, FastFtResult};
+use fastft_tabular::{Dataset, FastFtError, FastFtResult};
 use std::path::Path;
-use std::time::Instant;
 
 pub use crate::pipeline::{RunResult, StepRecord, StopReason, Telemetry};
 
@@ -52,7 +47,7 @@ impl FastFt {
     /// Run the full pipeline on `data` and return the best transformed
     /// dataset found, with traces and timing.
     ///
-    /// Equivalent to a one-dataset [`Session`](crate::pipeline::Session);
+    /// Equivalent to a one-dataset [`Session`];
     /// use a `Session` directly to run several datasets over one shared
     /// worker pool.
     ///
@@ -73,17 +68,22 @@ impl FastFt {
     /// [`FastFtConfig::checkpoint_every`]. `data` must be the dataset the
     /// checkpointed run was fitted on (verified by fingerprint).
     ///
-    /// The resumed run is **bitwise identical** to the uninterrupted one:
-    /// the same decisions, scores, records and deterministic telemetry
-    /// counters come out, because the checkpoint captures the RNG stream,
-    /// all network weights with optimiser state, the replay buffer and the
-    /// memo cache. Only wall times and encoder prefix-cache hit counters
-    /// differ (those caches restart cold).
+    /// The checkpoint is loaded into a fresh
+    /// [`SearchState`](crate::pipeline::SearchState) (best-so-far result
+    /// included), and the run continues through the same episode loop as
+    /// [`fit`](FastFt::fit). The resumed run is **bitwise identical** to the
+    /// uninterrupted one: the same decisions, scores, records and
+    /// deterministic telemetry counters come out, because the checkpoint
+    /// captures the RNG stream, all network weights with optimiser state,
+    /// the replay buffer and the memo cache. Only wall times and the split
+    /// of prefix-cache calls into hits and misses differ (those caches
+    /// restart cold; the counts accrued before the checkpoint carry over).
     ///
     /// # Errors
     ///
     /// [`FastFtError::Io`] if the file cannot be read,
-    /// [`FastFtError::Parse`] if it is not a valid checkpoint, and
+    /// [`FastFtError::Parse`] if it is not a valid checkpoint of the
+    /// current format version, and
     /// [`FastFtError::InvalidData`] if `data` does not match the
     /// checkpoint's dataset fingerprint.
     pub fn resume(path: impl AsRef<Path>, data: &Dataset) -> FastFtResult<RunResult> {
@@ -111,20 +111,8 @@ impl FastFt {
                 path.as_ref().display()
             )));
         }
-        let best_fs = restore_feature_set(data, &snap)?;
         let session = Session::new(cfg)?;
-        let mut driver = Driver::new(session.cfg(), data, session.runtime());
-        driver.state.restore(&snap, session.cfg())?;
-        driver.execute_from(
-            &mut NullObserver,
-            Instant::now(),
-            snap.next_episode,
-            snap.base_score,
-            snap.best_score,
-            best_fs,
-            snap.records,
-            snap.episode_best,
-        )
+        Driver::new(session.cfg(), data, session.runtime()).resume(snap, &mut NullObserver)
     }
 }
 
@@ -158,27 +146,6 @@ pub(crate) fn validate_data(data: &Dataset) -> FastFtResult<()> {
         )));
     }
     Ok(())
-}
-
-/// Rebuild the checkpointed best-so-far feature set: expressions are
-/// re-parsed and paired with their stored column values over `data`.
-fn restore_feature_set(data: &Dataset, snap: &checkpoint::Snapshot) -> FastFtResult<FeatureSet> {
-    if snap.best_exprs.len() != snap.best_columns.len() {
-        return Err(FastFtError::Parse(
-            "checkpoint: best feature set has mismatched expression/column counts".into(),
-        ));
-    }
-    let exprs: Vec<Expr> =
-        snap.best_exprs.iter().map(|e| parse_expr(e)).collect::<FastFtResult<_>>()?;
-    let columns: Vec<Column> = exprs
-        .iter()
-        .zip(&snap.best_columns)
-        .map(|(e, values)| Column::new(e.to_string(), values.clone()))
-        .collect();
-    let mut fs = FeatureSet::from_original(data);
-    fs.data = data.with_features(columns)?;
-    fs.exprs = exprs;
-    Ok(fs)
 }
 
 #[cfg(test)]
@@ -406,29 +373,29 @@ mod tests {
     }
 
     #[test]
-    fn batched_scoring_matches_unbatched() {
+    fn prefix_cache_matches_uncached_run() {
+        // `prefix_cache_capacity = 0` turns cached scoring off; the prefix
+        // cache may change wall time, never a result.
         let data = small_data("pima_indian", 120, 18);
-        let batched = FastFt::new(tiny_cfg()).fit(&data).unwrap();
+        let cached = FastFt::new(tiny_cfg()).fit(&data).unwrap();
         let mut cfg = tiny_cfg();
-        cfg.batched_scoring = false;
         cfg.prefix_cache_capacity = 0;
-        let plain = FastFt::new(cfg).fit(&data).unwrap();
-        assert_eq!(batched.best_score, plain.best_score);
-        assert_eq!(batched.records.len(), plain.records.len());
-        for (a, b) in batched.records.iter().zip(&plain.records) {
-            assert_eq!(a.score, b.score);
-            assert_eq!(a.reward, b.reward);
-            assert_eq!(a.novelty, b.novelty);
-            assert_eq!(a.new_exprs, b.new_exprs);
+        let uncached = FastFt::new(cfg).fit(&data).unwrap();
+        assert_eq!(cached.best_score.to_bits(), uncached.best_score.to_bits());
+        assert_eq!(cached.records.len(), uncached.records.len());
+        let bits =
+            |r: &StepRecord| [r.reward, r.score, r.novelty, r.novelty_distance].map(f64::to_bits);
+        for (a, b) in cached.records.iter().zip(&uncached.records) {
+            assert_eq!(a, b);
+            assert_eq!(bits(a), bits(b), "step {}.{}", a.episode, a.step);
         }
-        assert_eq!(batched.telemetry.downstream_evals, plain.telemetry.downstream_evals);
-        let t = batched.telemetry;
-        assert!(t.score_batches > 0, "warm steps should batch");
-        assert!(t.prefix_hits + t.prefix_misses > 0, "cached scoring should run");
-        assert_eq!(t.batch_size_hist.iter().sum::<u64>(), t.score_batches);
-        let p = plain.telemetry;
-        assert_eq!(p.score_batches, 0);
-        assert_eq!(p.prefix_hits + p.prefix_misses, 0);
+        assert_eq!(cached.telemetry.downstream_evals, uncached.telemetry.downstream_evals);
+        let (c, u) = (cached.telemetry, uncached.telemetry);
+        assert!(c.prefix_hits > 0, "suffix-extended sequences should hit the cache");
+        assert_eq!(u.prefix_hits + u.prefix_misses, 0, "a disabled cache counts nothing");
+        assert!(c.score_batches > 0, "warm steps should batch");
+        assert_eq!(c.score_batches, u.score_batches);
+        assert_eq!(c.batch_size_hist.iter().sum::<u64>(), c.score_batches);
     }
 
     #[test]
@@ -585,6 +552,11 @@ mod tests {
         assert_eq!(t.eval_faults, r.telemetry.eval_faults);
         assert_eq!(t.quarantined, r.telemetry.quarantined);
         assert_eq!(t.weight_rollbacks, r.telemetry.weight_rollbacks);
+        assert_eq!(t.prefix_hits, r.telemetry.prefix_hits);
+        assert_eq!(t.prefix_misses, r.telemetry.prefix_misses);
+        assert_eq!(t.prefix_evictions, r.telemetry.prefix_evictions);
+        assert_eq!(t.score_batches, r.telemetry.score_batches);
+        assert_eq!(t.batch_size_hist, r.telemetry.batch_size_hist);
         assert_eq!(collector.steps(), r.records.len());
         assert_eq!(collector.episodes(), cfg.episodes);
         assert_eq!(collector.checkpoints(), 0);

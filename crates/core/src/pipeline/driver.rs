@@ -10,7 +10,7 @@
 //! decision stream.
 
 use crate::agents::{Decision, MemoryUnit};
-use crate::checkpoint;
+use crate::checkpoint::{self, Snapshot};
 use crate::config::FastFtConfig;
 use crate::pipeline::event::{NullObserver, RunEvent, RunObserver};
 use crate::pipeline::search_state::SearchState;
@@ -55,8 +55,7 @@ pub struct Driver<'a, S = CascadeSource, R = AdaptiveRewardModel, L = ReplayLear
     cfg: &'a FastFtConfig,
     original: &'a Dataset,
     runtime: &'a Runtime,
-    /// The run's mutable state (exposed so resume can load a checkpoint
-    /// into it before the loop starts).
+    /// The run's mutable state.
     pub state: SearchState,
     source: S,
     reward: R,
@@ -95,51 +94,45 @@ impl<'a, S: CandidateSource, R: RewardModel, L: Learner> Driver<'a, S, R, L> {
     /// loop at episode 0.
     pub fn execute(mut self, observer: &mut dyn RunObserver) -> FastFtResult<RunResult> {
         let t_start = Instant::now();
-        let base_fs = FeatureSet::from_original(self.original);
-        let base_key = canonical_key(&base_fs.exprs);
-        let base_score = {
-            let mut cx = StageCx {
-                cfg: self.cfg,
-                original: self.original,
-                runtime: self.runtime,
-                state: &mut self.state,
-                observer,
-            };
-            cx.evaluate_downstream(self.original, Some(&base_key))?
-        };
-        self.execute_from(
+        let base_key = canonical_key(&self.state.best_fs.exprs);
+        let base_score = StageCx {
+            cfg: self.cfg,
+            original: self.original,
+            runtime: self.runtime,
+            state: &mut self.state,
             observer,
-            t_start,
-            0,
-            base_score,
-            base_score,
-            base_fs,
-            Vec::new(),
-            Vec::new(),
-        )
+        }
+        .evaluate_downstream(self.original, Some(&base_key))?;
+        self.state.base_score = base_score;
+        self.state.best_score = base_score;
+        // The base evaluation counts toward the run's wall time.
+        self.state.telemetry.total_secs = t_start.elapsed().as_secs_f64();
+        self.run_episodes(observer)
     }
 
-    /// The episode loop, entered at `start_episode` — 0 for a fresh run,
-    /// the checkpointed boundary for a resumed one. All best-so-far state
-    /// arrives as arguments so both paths share one code path (and one
-    /// decision stream).
-    #[allow(clippy::too_many_arguments)]
-    pub fn execute_from(
-        self,
+    /// Continue a checkpointed run: load `snap` (taken on `original`) into
+    /// the state, then enter the same episode loop at the checkpointed
+    /// boundary — one code path, and one decision stream, for both.
+    pub fn resume(
+        mut self,
+        snap: Snapshot,
         observer: &mut dyn RunObserver,
-        t_start: Instant,
-        start_episode: usize,
-        base_score: f64,
-        mut best_score: f64,
-        mut best_fs: FeatureSet,
-        mut records: Vec<StepRecord>,
-        mut episode_best: Vec<f64>,
     ) -> FastFtResult<RunResult> {
+        self.state.restore(snap, self.cfg, self.original)?;
+        self.run_episodes(observer)
+    }
+
+    /// The episode loop, from `state.next_episode` to the configured end
+    /// or the first exhausted budget.
+    fn run_episodes(self, observer: &mut dyn RunObserver) -> FastFtResult<RunResult> {
+        let t_start = Instant::now();
         let Driver { cfg, original, runtime, mut state, mut source, mut reward, mut learner } =
             self;
         let mut cx = StageCx { cfg, original, runtime, state: &mut state, observer };
+        let start_episode = cx.state.next_episode;
         cx.emit(RunEvent::RunStarted { episode: start_episode });
-        // Wall time accumulated before a resume; 0 for a fresh run.
+        // Wall time spent before the loop: the base evaluation of a fresh
+        // run, everything up to the checkpoint for a resumed one.
         let prior_secs = cx.state.telemetry.total_secs;
         let mut stop = StopReason::Completed;
 
@@ -147,7 +140,7 @@ impl<'a, S: CandidateSource, R: RewardModel, L: Learner> Driver<'a, S, R, L> {
             let cold = episode < cfg.cold_start_episodes || !cfg.use_predictor;
             cx.emit(RunEvent::EpisodeStarted { episode, cold });
             let mut fs = FeatureSet::from_original(original);
-            let mut prev_v = base_score;
+            let mut prev_v = cx.state.base_score;
             let mut prev_seq = encode_feature_set(&fs.exprs, &cx.state.vocab, cfg.max_seq_len);
             let mut prev_state = state::rep_overall(&fs.data);
             // Pending memory from the previous step, waiting for its
@@ -194,9 +187,9 @@ impl<'a, S: CandidateSource, R: RewardModel, L: Learner> Driver<'a, S, R, L> {
                     if crossing.produced { scored.reward } else { scored.reward - 0.05 };
 
                 // Best tracking: only real downstream evaluations count.
-                if !scored.predicted && scored.v > best_score {
-                    best_score = scored.v;
-                    best_fs = fs.clone();
+                if !scored.predicted && scored.v > cx.state.best_score {
+                    cx.state.best_score = scored.v;
+                    cx.state.best_fs = fs.clone();
                 }
 
                 // --- memory --------------------------------------------
@@ -226,7 +219,7 @@ impl<'a, S: CandidateSource, R: RewardModel, L: Learner> Driver<'a, S, R, L> {
                     new_exprs: crossing.new_exprs,
                 };
                 cx.emit(RunEvent::StepCompleted { record: &record });
-                records.push(record);
+                cx.state.records.push(record);
 
                 prev_v = scored.v;
                 prev_seq = crossing.seq;
@@ -249,7 +242,9 @@ impl<'a, S: CandidateSource, R: RewardModel, L: Learner> Driver<'a, S, R, L> {
                 learner.finetune(&mut cx);
             }
 
-            episode_best.push(best_score);
+            let best_score = cx.state.best_score;
+            cx.state.episode_best.push(best_score);
+            cx.state.next_episode = episode + 1;
             cx.emit(RunEvent::EpisodeCompleted { episode, best_score });
 
             // Crash-safe checkpoint at the episode boundary. Absolute
@@ -257,32 +252,18 @@ impl<'a, S: CandidateSource, R: RewardModel, L: Learner> Driver<'a, S, R, L> {
             if cfg.checkpoint_every > 0 && (episode + 1).is_multiple_of(cfg.checkpoint_every) {
                 if let Some(path) = cfg.checkpoint_path.clone() {
                     let total = prior_secs + t_start.elapsed().as_secs_f64();
-                    let snap = cx.state.snapshot(
-                        original,
-                        episode + 1,
-                        base_score,
-                        best_score,
-                        &best_fs,
-                        &records,
-                        &episode_best,
-                        total,
-                    );
+                    let snap = cx.state.snapshot(original, total);
                     checkpoint::write(&path, cfg, &snap)?;
                     cx.emit(RunEvent::CheckpointWritten { next_episode: episode + 1 });
                 }
             }
         }
 
-        let s = cx.state.merged_component_stats();
-        let t = &mut cx.state.telemetry;
-        t.prefix_hits = s.prefix_hits;
-        t.prefix_misses = s.prefix_misses;
-        t.prefix_evictions = s.evictions;
-        t.score_batches = s.batches;
-        t.batch_size_hist = s.batch_hist;
-        t.total_secs = prior_secs + t_start.elapsed().as_secs_f64();
-        let telemetry = cx.state.telemetry;
-        cx.emit(RunEvent::RunCompleted { stop, best_score });
+        cx.state.telemetry.total_secs = prior_secs + t_start.elapsed().as_secs_f64();
+        cx.emit(RunEvent::RunCompleted { stop, best_score: cx.state.best_score });
+        let SearchState {
+            base_score, best_score, best_fs, records, episode_best, telemetry, ..
+        } = state;
         Ok(RunResult {
             base_score,
             best_score,

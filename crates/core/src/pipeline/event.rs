@@ -4,11 +4,12 @@
 //! narrate a run as a stream of [`RunEvent`]s delivered to a
 //! [`RunObserver`]. Observers are strictly passive: they cannot influence
 //! the decision stream, so attaching one never changes what a run computes.
-//! [`TelemetryCollector`] is the first observer — it reconstructs the
-//! deterministic [`Telemetry`] counters purely from events, which doubles
-//! as a test that the event stream is complete.
+//! Events are also the run's only source of counts: [`Telemetry::record`]
+//! turns each event into counter increments, both for the run's own
+//! telemetry and for [`TelemetryCollector`].
 
 use crate::pipeline::{StepRecord, StopReason, Telemetry};
+use crate::scoring::ScoreStats;
 
 /// One moment in a run's life, emitted by the driver or a stage.
 ///
@@ -49,6 +50,8 @@ pub enum RunEvent<'a> {
     PredictorCalled {
         /// Number of inference calls issued.
         calls: usize,
+        /// Prefix-cache and batching counters these calls added.
+        scoring: ScoreStats,
     },
     /// A step finished; `record` is its full trace.
     StepCompleted {
@@ -63,6 +66,9 @@ pub enum RunEvent<'a> {
         /// Components rolled back because the round panicked or produced
         /// non-finite weights.
         rollbacks: usize,
+        /// Prefix-cache counters the round added (distillation targets are
+        /// scored through the frozen target network's cache).
+        scoring: ScoreStats,
     },
     /// An episode finished.
     EpisodeCompleted {
@@ -100,11 +106,11 @@ impl RunObserver for NullObserver {
 }
 
 /// Rebuilds the deterministic [`Telemetry`] counters from the event stream
-/// alone.
+/// alone, through the same [`Telemetry::record`] the run counts with.
 ///
-/// Wall-clock fields stay zero (events carry no timings); the counter
-/// fields must agree exactly with the run's own telemetry — asserted by
-/// `observer_counters_match_telemetry` in the engine tests.
+/// Wall-clock fields stay zero (events carry no timings). For a run started
+/// from scratch the counter fields equal the run's own telemetry — asserted
+/// by `observer_counters_match_telemetry` in the engine tests.
 #[derive(Debug, Default, Clone)]
 pub struct TelemetryCollector {
     telemetry: Telemetry,
@@ -142,24 +148,8 @@ impl TelemetryCollector {
 
 impl RunObserver for TelemetryCollector {
     fn on_event(&mut self, event: &RunEvent<'_>) {
+        self.telemetry.record(event);
         match event {
-            RunEvent::DownstreamEvaluated { cache_hit: true, .. } => {
-                self.telemetry.cache_hits += 1;
-            }
-            RunEvent::DownstreamEvaluated { cache_hit: false, evicted, faulted } => {
-                self.telemetry.downstream_evals += 1;
-                if *evicted {
-                    self.telemetry.cache_evictions += 1;
-                }
-                if *faulted {
-                    self.telemetry.eval_faults += 1;
-                }
-            }
-            RunEvent::CandidateQuarantined => self.telemetry.quarantined += 1,
-            RunEvent::PredictorCalled { calls } => self.telemetry.predictor_calls += calls,
-            RunEvent::ComponentsTrained { rollbacks, .. } => {
-                self.telemetry.weight_rollbacks += rollbacks;
-            }
             RunEvent::StepCompleted { .. } => self.steps += 1,
             RunEvent::EpisodeCompleted { .. } => self.episodes += 1,
             RunEvent::CheckpointWritten { .. } => self.checkpoints += 1,

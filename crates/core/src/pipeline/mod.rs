@@ -68,52 +68,19 @@ pub struct StepRecord {
     pub new_exprs: Vec<String>,
 }
 
-impl fastft_tabular::persist::Persist for StepRecord {
-    fn persist(&self, w: &mut fastft_tabular::persist::Writer) {
-        let StepRecord {
-            episode,
-            step,
-            reward,
-            score,
-            predicted,
-            novelty,
-            novelty_distance,
-            new_combination,
-            n_features,
-            new_exprs,
-        } = self;
-        episode.persist(w);
-        step.persist(w);
-        reward.persist(w);
-        score.persist(w);
-        predicted.persist(w);
-        novelty.persist(w);
-        novelty_distance.persist(w);
-        new_combination.persist(w);
-        n_features.persist(w);
-        new_exprs.persist(w);
-    }
-
-    fn restore(
-        r: &mut fastft_tabular::persist::Reader,
-    ) -> fastft_tabular::persist::PersistResult<Self> {
-        use fastft_tabular::persist::Persist;
-        Ok(StepRecord {
-            episode: Persist::restore(r)?,
-            step: Persist::restore(r)?,
-            reward: Persist::restore(r)?,
-            score: Persist::restore(r)?,
-            predicted: Persist::restore(r)?,
-            novelty: Persist::restore(r)?,
-            novelty_distance: Persist::restore(r)?,
-            new_combination: Persist::restore(r)?,
-            n_features: Persist::restore(r)?,
-            new_exprs: Persist::restore(r)?,
-        })
+fastft_tabular::persist_struct! {
+    StepRecord {
+        episode, step, reward, score, predicted, novelty, novelty_distance, new_combination,
+        n_features, new_exprs,
     }
 }
 
-/// Wall-clock decomposition matching Table II's rows.
+/// Wall-clock decomposition matching Table II's rows, plus the run's
+/// counters.
+///
+/// The `*_secs` fields are accumulated directly by the code they time. The
+/// counter fields change only in [`Telemetry::record`], from the run's
+/// [`RunEvent`]s.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Telemetry {
     /// Agent/critic updates ("Optimization").
@@ -164,72 +131,52 @@ pub struct Telemetry {
     pub weight_rollbacks: usize,
 }
 
-impl fastft_tabular::persist::Persist for Telemetry {
-    fn persist(&self, w: &mut fastft_tabular::persist::Writer) {
-        let Telemetry {
-            optimization_secs,
-            estimation_secs,
-            evaluation_secs,
-            total_secs,
-            downstream_evals,
-            predictor_calls,
-            cache_hits,
-            cache_evictions,
-            predictor_secs,
-            novelty_secs,
-            prefix_hits,
-            prefix_misses,
-            prefix_evictions,
-            score_batches,
-            batch_size_hist,
-            eval_faults,
-            quarantined,
-            weight_rollbacks,
-        } = self;
-        optimization_secs.persist(w);
-        estimation_secs.persist(w);
-        evaluation_secs.persist(w);
-        total_secs.persist(w);
-        downstream_evals.persist(w);
-        predictor_calls.persist(w);
-        cache_hits.persist(w);
-        cache_evictions.persist(w);
-        predictor_secs.persist(w);
-        novelty_secs.persist(w);
-        prefix_hits.persist(w);
-        prefix_misses.persist(w);
-        prefix_evictions.persist(w);
-        score_batches.persist(w);
-        batch_size_hist.persist(w);
-        eval_faults.persist(w);
-        quarantined.persist(w);
-        weight_rollbacks.persist(w);
+impl Telemetry {
+    /// Count one event. This is the only code that changes a counter
+    /// field: [`StageCx::emit`] applies it to the run's own telemetry and
+    /// [`TelemetryCollector`] to its copy, so the two cannot disagree.
+    pub fn record(&mut self, event: &RunEvent<'_>) {
+        let scoring = match *event {
+            RunEvent::DownstreamEvaluated { cache_hit: true, .. } => {
+                self.cache_hits += 1;
+                return;
+            }
+            RunEvent::DownstreamEvaluated { cache_hit: false, evicted, faulted } => {
+                self.downstream_evals += 1;
+                self.cache_evictions += usize::from(evicted);
+                self.eval_faults += usize::from(faulted);
+                return;
+            }
+            RunEvent::CandidateQuarantined => {
+                self.quarantined += 1;
+                return;
+            }
+            RunEvent::PredictorCalled { calls, scoring } => {
+                self.predictor_calls += calls;
+                scoring
+            }
+            RunEvent::ComponentsTrained { rollbacks, scoring, .. } => {
+                self.weight_rollbacks += rollbacks;
+                scoring
+            }
+            _ => return,
+        };
+        self.prefix_hits += scoring.prefix_hits;
+        self.prefix_misses += scoring.prefix_misses;
+        self.prefix_evictions += scoring.evictions;
+        self.score_batches += scoring.batches;
+        for (h, n) in self.batch_size_hist.iter_mut().zip(&scoring.batch_hist) {
+            *h += n;
+        }
     }
+}
 
-    fn restore(
-        r: &mut fastft_tabular::persist::Reader,
-    ) -> fastft_tabular::persist::PersistResult<Self> {
-        use fastft_tabular::persist::Persist;
-        Ok(Telemetry {
-            optimization_secs: Persist::restore(r)?,
-            estimation_secs: Persist::restore(r)?,
-            evaluation_secs: Persist::restore(r)?,
-            total_secs: Persist::restore(r)?,
-            downstream_evals: Persist::restore(r)?,
-            predictor_calls: Persist::restore(r)?,
-            cache_hits: Persist::restore(r)?,
-            cache_evictions: Persist::restore(r)?,
-            predictor_secs: Persist::restore(r)?,
-            novelty_secs: Persist::restore(r)?,
-            prefix_hits: Persist::restore(r)?,
-            prefix_misses: Persist::restore(r)?,
-            prefix_evictions: Persist::restore(r)?,
-            score_batches: Persist::restore(r)?,
-            batch_size_hist: Persist::restore(r)?,
-            eval_faults: Persist::restore(r)?,
-            quarantined: Persist::restore(r)?,
-            weight_rollbacks: Persist::restore(r)?,
-        })
+fastft_tabular::persist_struct! {
+    Telemetry {
+        optimization_secs, estimation_secs, evaluation_secs, total_secs, downstream_evals,
+        predictor_calls, cache_hits, cache_evictions, predictor_secs, novelty_secs, prefix_hits,
+        prefix_misses, prefix_evictions, score_batches, batch_size_hist, eval_faults, quarantined,
+        weight_rollbacks,
     }
 }
 

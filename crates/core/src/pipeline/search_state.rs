@@ -2,18 +2,21 @@
 //! [`Driver`](crate::pipeline::Driver) and threaded through every stage.
 //!
 //! [`SearchState`] is the single home of everything a run mutates — agent
-//! and component weights, the replay buffer, the RNG, histories, caches and
-//! telemetry. Checkpointing goes through [`SearchState::snapshot`] /
-//! [`SearchState::restore`], which destructure the struct exhaustively:
-//! adding a field without deciding how it persists is a compile error, not
-//! a silently-forgotten piece of state.
+//! and component weights, the replay buffer, the RNG, histories, caches,
+//! telemetry, the best-so-far result and the step trace. Checkpointing goes
+//! through [`SearchState::snapshot`] / [`SearchState::restore`], which
+//! destructure the state and the snapshot exhaustively: adding a field
+//! without deciding how it persists is a compile error, not a
+//! silently-forgotten piece of state.
 
 use crate::agents::{CascadingAgents, MemoryUnit};
 use crate::checkpoint::{self, Snapshot};
 use crate::config::FastFtConfig;
+use crate::expr::Expr;
 use crate::lru::LruCache;
 use crate::novelty::NoveltyEstimator;
 use crate::novelty_metric::NoveltyTracker;
+use crate::parse::parse_expr;
 use crate::pipeline::{StepRecord, Telemetry};
 use crate::predictor::{PerformancePredictor, PredictorConfig};
 use crate::scoring::ScoreStats;
@@ -22,7 +25,7 @@ use crate::transform::FeatureSet;
 use fastft_rl::{PrioritizedReplay, ReplayState, UniformReplay};
 use fastft_tabular::rngx;
 use fastft_tabular::rngx::StdRng;
-use fastft_tabular::{Dataset, FastFtError, FastFtResult};
+use fastft_tabular::{Column, Dataset, FastFtError, FastFtResult};
 
 /// Cap on the quarantine set: plenty for any realistic fault pattern,
 /// while bounding memory if a dataset makes *every* candidate fault.
@@ -127,14 +130,24 @@ pub struct SearchState {
     pub nov_m2: f64,
     /// Steps taken across all episodes (drives the novelty-weight decay).
     pub global_step: usize,
-    /// Prefix-cache/batching counters accumulated before the last resume:
-    /// the caches themselves restart cold, so end-of-run telemetry is this
-    /// baseline merged with the fresh caches' counters.
-    pub stats_baseline: ScoreStats,
     /// Canonical keys of candidates whose downstream evaluation kept
     /// faulting. LRU-bounded so pathological data cannot grow it without
     /// limit; quarantined candidates are scored by the predictor instead.
     pub quarantine: LruCache<String, ()>,
+    /// First episode the episode loop has yet to run.
+    pub next_episode: usize,
+    /// Downstream score of the original feature set (`NaN` until the
+    /// driver's base evaluation or a restore sets it).
+    pub base_score: f64,
+    /// Best downstream-evaluated score so far (`NaN` until set with
+    /// `base_score`).
+    pub best_score: f64,
+    /// The feature set achieving `best_score`.
+    pub best_fs: FeatureSet,
+    /// Per-step trace so far.
+    pub records: Vec<StepRecord>,
+    /// Best-so-far score after each completed episode.
+    pub episode_best: Vec<f64>,
 }
 
 impl SearchState {
@@ -173,32 +186,28 @@ impl SearchState {
             nov_mean: 0.0,
             nov_m2: 0.0,
             global_step: 0,
-            stats_baseline: ScoreStats::default(),
             quarantine: LruCache::new(QUARANTINE_CAPACITY),
+            next_episode: 0,
+            base_score: f64::NAN,
+            best_score: f64::NAN,
+            best_fs: FeatureSet::from_original(data),
+            records: Vec::new(),
+            episode_best: Vec::new(),
         }
     }
 
-    /// Pre-resume counter baseline merged with the live caches' counters.
-    pub fn merged_component_stats(&self) -> ScoreStats {
-        self.stats_baseline.merge(&self.predictor.stats().merge(&self.novelty.stats()))
+    /// Prefix-cache and batching counters of the live component caches,
+    /// cumulative since they were built. Events carry differences of these.
+    pub(crate) fn score_stats(&self) -> ScoreStats {
+        self.predictor.stats().merge(&self.novelty.stats())
     }
 
-    /// Capture the complete run state at an episode boundary.
+    /// Capture the complete run state at an episode boundary, with
+    /// `total_secs` of wall time spent so far.
     ///
     /// Destructures `self` exhaustively: a new `SearchState` field fails to
     /// compile here until its persistence is decided.
-    #[allow(clippy::too_many_arguments)]
-    pub fn snapshot(
-        &mut self,
-        original: &Dataset,
-        next_episode: usize,
-        base_score: f64,
-        best_score: f64,
-        best_fs: &FeatureSet,
-        records: &[StepRecord],
-        episode_best: &[f64],
-        total_secs: f64,
-    ) -> Snapshot {
+    pub fn snapshot(&mut self, original: &Dataset, total_secs: f64) -> Snapshot {
         let SearchState {
             vocab: _, // derived from the dataset, rebuilt on restore
             agents,
@@ -216,22 +225,26 @@ impl SearchState {
             nov_mean,
             nov_m2,
             global_step,
-            stats_baseline,
             quarantine,
+            next_episode,
+            base_score,
+            best_score,
+            best_fs,
+            records,
+            episode_best,
         } = self;
-        let stats_baseline = stats_baseline.merge(&predictor.stats().merge(&novelty.stats()));
         let mut telemetry = *telemetry;
         telemetry.total_secs = total_secs;
         Snapshot {
             data_fingerprint: checkpoint::dataset_fingerprint(original),
-            next_episode,
+            next_episode: *next_episode,
             global_step: *global_step,
-            base_score,
-            best_score,
+            base_score: *base_score,
+            best_score: *best_score,
             best_exprs: best_fs.exprs.iter().map(|e| e.to_string()).collect(),
             best_columns: best_fs.data.features.iter().map(|c| c.values.clone()).collect(),
-            records: records.to_vec(),
-            episode_best: episode_best.to_vec(),
+            records: records.clone(),
+            episode_best: episode_best.clone(),
             telemetry,
             rng: rng.state(),
             agents: agents.save_state(),
@@ -251,7 +264,6 @@ impl SearchState {
             nov_count: *nov_count,
             nov_mean: *nov_mean,
             nov_m2: *nov_m2,
-            stats_baseline,
             quarantine: quarantine
                 .entries_lru_to_mru()
                 .into_iter()
@@ -260,38 +272,98 @@ impl SearchState {
         }
     }
 
-    /// Load checkpointed state into a freshly-constructed state. The frozen
-    /// RND target and the prefix caches were already rebuilt by
-    /// [`SearchState::new`]; everything else comes from the snapshot.
-    pub fn restore(&mut self, snap: &Snapshot, cfg: &FastFtConfig) -> FastFtResult<()> {
+    /// Load a checkpoint of a run over `data` into this freshly-built
+    /// state. The frozen RND target and the prefix caches were already
+    /// rebuilt by [`SearchState::new`]; everything else, including the best
+    /// feature set, comes from the snapshot.
+    ///
+    /// Destructures the snapshot exhaustively, so a new snapshot field
+    /// fails to compile here until it is restored.
+    pub fn restore(
+        &mut self,
+        snap: Snapshot,
+        cfg: &FastFtConfig,
+        data: &Dataset,
+    ) -> FastFtResult<()> {
         let bad = |what: &str, e: String| FastFtError::Parse(format!("checkpoint: {what}: {e}"));
-        self.rng = StdRng::from_state(snap.rng);
-        self.agents.load_state(&snap.agents).map_err(|e| bad("agents", e))?;
-        self.predictor.load_state(&snap.predictor).map_err(|e| bad("predictor", e))?;
-        self.novelty.load_state(&snap.novelty).map_err(|e| bad("novelty estimator", e))?;
-        self.memory =
-            Memory::from_state(snap.replay.clone()).map_err(|e| bad("replay buffer", e))?;
-        self.tracker =
-            NoveltyTracker::from_parts(snap.tracker_history.clone(), snap.tracker_seen.clone());
+        let Snapshot {
+            data_fingerprint: _, // checked against the dataset by the caller
+            next_episode,
+            global_step,
+            base_score,
+            best_score,
+            best_exprs,
+            best_columns,
+            records,
+            episode_best,
+            telemetry,
+            rng,
+            agents,
+            predictor,
+            novelty,
+            replay,
+            tracker_history,
+            tracker_seen,
+            eval_cache,
+            eval_history,
+            pred_history,
+            nov_history,
+            nov_count,
+            nov_mean,
+            nov_m2,
+            quarantine,
+        } = snap;
+        self.best_fs = restore_feature_set(data, best_exprs, best_columns)?;
+        self.rng = StdRng::from_state(rng);
+        self.agents.load_state(&agents).map_err(|e| bad("agents", e))?;
+        self.predictor.load_state(&predictor).map_err(|e| bad("predictor", e))?;
+        self.novelty.load_state(&novelty).map_err(|e| bad("novelty estimator", e))?;
+        self.memory = Memory::from_state(replay).map_err(|e| bad("replay buffer", e))?;
+        self.tracker = NoveltyTracker::from_parts(tracker_history, tracker_seen);
         self.eval_cache = LruCache::new(cfg.eval_cache_capacity);
-        for (k, v) in &snap.eval_cache {
-            self.eval_cache.insert(k.clone(), *v);
+        for (k, v) in eval_cache {
+            self.eval_cache.insert(k, v);
         }
         self.quarantine = LruCache::new(QUARANTINE_CAPACITY);
-        for k in &snap.quarantine {
-            self.quarantine.insert(k.clone(), ());
+        for k in quarantine {
+            self.quarantine.insert(k, ());
         }
-        self.eval_history = snap.eval_history.clone();
-        self.pred_history = snap.pred_history.clone();
-        self.nov_history = snap.nov_history.clone();
-        self.nov_count = snap.nov_count;
-        self.nov_mean = snap.nov_mean;
-        self.nov_m2 = snap.nov_m2;
-        self.stats_baseline = snap.stats_baseline;
-        self.telemetry = snap.telemetry;
-        self.global_step = snap.global_step;
+        self.eval_history = eval_history;
+        self.pred_history = pred_history;
+        self.nov_history = nov_history;
+        self.nov_count = nov_count;
+        self.nov_mean = nov_mean;
+        self.nov_m2 = nov_m2;
+        self.telemetry = telemetry;
+        self.global_step = global_step;
+        self.next_episode = next_episode;
+        self.base_score = base_score;
+        self.best_score = best_score;
+        self.records = records;
+        self.episode_best = episode_best;
         Ok(())
     }
+}
+
+/// Rebuild a checkpointed feature set over `data`: expressions are
+/// re-parsed and paired with their stored column values.
+fn restore_feature_set(
+    data: &Dataset,
+    exprs: Vec<String>,
+    columns: Vec<Vec<f64>>,
+) -> FastFtResult<FeatureSet> {
+    if exprs.len() != columns.len() {
+        return Err(FastFtError::Parse(
+            "checkpoint: best feature set has mismatched expression/column counts".into(),
+        ));
+    }
+    let exprs: Vec<Expr> = exprs.iter().map(|e| parse_expr(e)).collect::<FastFtResult<_>>()?;
+    let columns: Vec<Column> =
+        exprs.iter().zip(columns).map(|(e, values)| Column::new(e.to_string(), values)).collect();
+    let mut fs = FeatureSet::from_original(data);
+    fs.data = data.with_features(columns)?;
+    fs.exprs = exprs;
+    Ok(fs)
 }
 
 #[cfg(test)]

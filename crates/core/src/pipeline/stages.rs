@@ -29,9 +29,11 @@ use crate::pipeline::search_state::SearchState;
 use crate::sequence::{canonical_key, encode_feature_set};
 use crate::state;
 use crate::transform::FeatureSet;
+use fastft_ml::Evaluator;
 use fastft_rl::schedule::ExpDecay;
 use fastft_runtime::Runtime;
 use fastft_tabular::{Dataset, FastFtResult};
+use std::convert::Infallible;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::Instant;
 
@@ -64,40 +66,67 @@ pub struct StageCx<'r> {
 }
 
 impl StageCx<'_> {
-    /// Deliver `event` to the observer.
+    /// Count `event` into the run's telemetry ([`Telemetry::record`]), then
+    /// deliver it to the observer.
+    ///
+    /// [`Telemetry::record`]: crate::pipeline::Telemetry::record
     pub fn emit(&mut self, event: RunEvent<'_>) {
+        self.state.telemetry.record(&event);
         self.observer.on_event(&event);
     }
 
     /// Evaluate `data` downstream, memoised on the canonical feature-set
     /// key when one is supplied. Cache hits return the stored score without
     /// re-running cross-validation (and count as `cache_hits`, not
-    /// `downstream_evals`); `None` bypasses the cache entirely.
+    /// `downstream_evals`); `None` bypasses the cache entirely. An
+    /// evaluation error propagates as a typed error.
     pub fn evaluate_downstream(&mut self, data: &Dataset, key: Option<&str>) -> FastFtResult<f64> {
-        if let Some(k) = key {
-            if let Some(&score) = self.state.eval_cache.get(k) {
-                self.state.telemetry.cache_hits += 1;
-                self.emit(RunEvent::DownstreamEvaluated {
-                    cache_hit: true,
-                    evicted: false,
-                    faulted: false,
-                });
+        let score = self.memoised(key, 1, |ev, rt| ev.evaluate_with(rt, data).map(Some))?;
+        Ok(score.expect("the base attempt never reports a soft fault"))
+    }
+
+    /// The memo-cache protocol behind every downstream evaluation.
+    ///
+    /// A score cached under `key` is returned at once (one cache-hit
+    /// event). Otherwise `attempt` runs up to `attempts` times, each run
+    /// timed into `evaluation_secs` and reported by one
+    /// `DownstreamEvaluated` event: `Ok(Some(score))` is stored under `key`
+    /// and returned, `Ok(None)` is a fault that moves on to the next
+    /// attempt, and `Err` propagates without an event. `Ok(None)` comes
+    /// back only when every attempt faulted.
+    fn memoised<E>(
+        &mut self,
+        key: Option<&str>,
+        attempts: usize,
+        mut attempt: impl FnMut(&Evaluator, &Runtime) -> Result<Option<f64>, E>,
+    ) -> Result<Option<f64>, E> {
+        if let Some(&score) = key.and_then(|k| self.state.eval_cache.get(k)) {
+            self.emit(RunEvent::DownstreamEvaluated {
+                cache_hit: true,
+                evicted: false,
+                faulted: false,
+            });
+            return Ok(Some(score));
+        }
+        for _ in 0..attempts {
+            let t0 = Instant::now();
+            let outcome = attempt(&self.cfg.evaluator, self.runtime);
+            self.state.telemetry.evaluation_secs += t0.elapsed().as_secs_f64();
+            let score = outcome?;
+            let evicted = match (key, score) {
+                (Some(k), Some(s)) => self.state.eval_cache.insert(k.to_owned(), s),
+                _ => false,
+            };
+            self.emit(RunEvent::DownstreamEvaluated {
+                cache_hit: false,
+                evicted,
+                faulted: score.is_none(),
+            });
+            if score.is_some() {
                 return Ok(score);
             }
         }
-        let t0 = Instant::now();
-        let score = self.cfg.evaluator.evaluate_with(self.runtime, data)?;
-        self.state.telemetry.evaluation_secs += t0.elapsed().as_secs_f64();
-        self.state.telemetry.downstream_evals += 1;
-        let mut evicted = false;
-        if let Some(k) = key {
-            if self.state.eval_cache.insert(k.to_owned(), score) {
-                self.state.telemetry.cache_evictions += 1;
-                evicted = true;
-            }
-        }
-        self.emit(RunEvent::DownstreamEvaluated { cache_hit: false, evicted, faulted: false });
-        Ok(score)
+        Ok(None)
     }
 }
 
@@ -314,68 +343,31 @@ impl AdaptiveRewardModel {
         if cx.state.quarantine.get(key).is_some() {
             return None;
         }
-        if let Some(&score) = cx.state.eval_cache.get(key) {
-            cx.state.telemetry.cache_hits += 1;
-            cx.emit(RunEvent::DownstreamEvaluated {
-                cache_hit: true,
-                evicted: false,
-                faulted: false,
-            });
-            return Some(score);
+        let attempts = cx.cfg.eval_retries + 1;
+        // A panic, typed evaluation error or non-finite score is a fault.
+        let score = cx.memoised(Some(key), attempts, |ev, rt| {
+            let outcome = catch_unwind(AssertUnwindSafe(|| ev.evaluate_with(rt, data)));
+            Ok::<_, Infallible>(outcome.ok().and_then(Result::ok).filter(|s| s.is_finite()))
+        });
+        let Ok(score) = score;
+        if score.is_none() {
+            cx.state.quarantine.insert(key.to_owned(), ());
+            cx.emit(RunEvent::CandidateQuarantined);
         }
-        for _attempt in 0..=cx.cfg.eval_retries {
-            let t0 = Instant::now();
-            let evaluator = &cx.cfg.evaluator;
-            let runtime = cx.runtime;
-            let outcome = catch_unwind(AssertUnwindSafe(|| evaluator.evaluate_with(runtime, data)));
-            cx.state.telemetry.evaluation_secs += t0.elapsed().as_secs_f64();
-            cx.state.telemetry.downstream_evals += 1;
-            match outcome {
-                Ok(Ok(score)) if score.is_finite() => {
-                    let mut evicted = false;
-                    if cx.state.eval_cache.insert(key.to_owned(), score) {
-                        cx.state.telemetry.cache_evictions += 1;
-                        evicted = true;
-                    }
-                    cx.emit(RunEvent::DownstreamEvaluated {
-                        cache_hit: false,
-                        evicted,
-                        faulted: false,
-                    });
-                    return Some(score);
-                }
-                // Panic, typed evaluation error or non-finite score: count
-                // the fault and retry.
-                _ => {
-                    cx.state.telemetry.eval_faults += 1;
-                    cx.emit(RunEvent::DownstreamEvaluated {
-                        cache_hit: false,
-                        evicted: false,
-                        faulted: true,
-                    });
-                }
-            }
-        }
-        cx.state.telemetry.quarantined += 1;
-        cx.state.quarantine.insert(key.to_owned(), ());
-        cx.emit(RunEvent::CandidateQuarantined);
-        None
+        score
     }
 
     /// Predictor-only score for a quarantined candidate, so the episode
     /// keeps moving with a finite reward.
     fn predict_fallback(&self, cx: &mut StageCx<'_>, seq: &[usize]) -> f64 {
+        let before = cx.state.score_stats();
         let t0 = Instant::now();
-        let pred = if cx.cfg.batched_scoring {
-            cx.state.predictor.predict_cached(seq)
-        } else {
-            cx.state.predictor.predict(seq)
-        };
+        let pred = cx.state.predictor.predict_cached(seq);
         let elapsed = t0.elapsed().as_secs_f64();
         cx.state.telemetry.predictor_secs += elapsed;
         cx.state.telemetry.estimation_secs += elapsed;
-        cx.state.telemetry.predictor_calls += 1;
-        cx.emit(RunEvent::PredictorCalled { calls: 1 });
+        let scoring = cx.state.score_stats().since(&before);
+        cx.emit(RunEvent::PredictorCalled { calls: 1, scoring });
         pred
     }
 
@@ -439,49 +431,37 @@ impl RewardModel for AdaptiveRewardModel {
             let mut r = v - input.prev_v;
             let mut nov = 0.0;
             if cx.cfg.use_novelty && input.episode >= cx.cfg.cold_start_episodes {
+                let before = cx.state.score_stats();
                 let t_est = Instant::now();
-                nov = if cx.cfg.batched_scoring {
-                    cx.state.novelty.novelty_cached(input.seq)
-                } else {
-                    cx.state.novelty.novelty(input.seq)
-                };
+                nov = cx.state.novelty.novelty_cached(input.seq);
                 let elapsed = t_est.elapsed().as_secs_f64();
                 cx.state.telemetry.novelty_secs += elapsed;
                 cx.state.telemetry.estimation_secs += elapsed;
-                cx.state.telemetry.predictor_calls += 1;
-                cx.emit(RunEvent::PredictorCalled { calls: 1 });
+                let scoring = cx.state.score_stats().since(&before);
+                cx.emit(RunEvent::PredictorCalled { calls: 1, scoring });
                 let normed = self.normalize_novelty(cx.state, nov);
                 r += novelty_weight.at(cx.state.global_step) * normed;
                 cx.state.nov_history.push(nov);
             }
             Scored { v, reward: r, predicted, novelty: nov }
         } else {
-            // Batched scoring runs the same fused kernels in the same
-            // summation order as the per-sequence path, so both branches
-            // are bitwise identical (`batched_scoring_matches_unbatched`).
+            // Batched, prefix-cached scoring is bitwise identical to
+            // per-sequence prediction (`nn_parity`); it only saves time.
+            let before = cx.state.score_stats();
             let t_pred = Instant::now();
-            let (pred, pred_prev) = if cx.cfg.batched_scoring {
-                let mut out = [0.0; 2];
-                cx.state.predictor.predict_batch(&[input.seq, input.prev_seq], &mut out);
-                (out[0], out[1])
-            } else {
-                (cx.state.predictor.predict(input.seq), cx.state.predictor.predict(input.prev_seq))
-            };
+            let mut out = [0.0; 2];
+            cx.state.predictor.predict_batch(&[input.seq, input.prev_seq], &mut out);
+            let [pred, pred_prev] = out;
             let pred_elapsed = t_pred.elapsed().as_secs_f64();
             cx.state.telemetry.predictor_secs += pred_elapsed;
             let t_nov = Instant::now();
-            let nov = if !cx.cfg.use_novelty {
-                0.0
-            } else if cx.cfg.batched_scoring {
-                cx.state.novelty.novelty_cached(input.seq)
-            } else {
-                cx.state.novelty.novelty(input.seq)
-            };
+            let nov =
+                if cx.cfg.use_novelty { cx.state.novelty.novelty_cached(input.seq) } else { 0.0 };
             let nov_elapsed = t_nov.elapsed().as_secs_f64();
             cx.state.telemetry.novelty_secs += nov_elapsed;
             cx.state.telemetry.estimation_secs += pred_elapsed + nov_elapsed;
-            cx.state.telemetry.predictor_calls += 2;
-            cx.emit(RunEvent::PredictorCalled { calls: 2 });
+            let scoring = cx.state.score_stats().since(&before);
+            cx.emit(RunEvent::PredictorCalled { calls: 2, scoring });
             // Eq. 6, with the novelty bonus std-normalised so the two terms
             // share a scale.
             let mut r = pred - pred_prev;
@@ -542,13 +522,15 @@ impl ReplayLearner {
         }
     }
 
-    /// Run a component-training round under a fault guard: the predictor
-    /// and estimator weights are snapshotted first, and a round that
-    /// panics or leaves non-finite parameters is rolled back to the
-    /// snapshot (one `weight_rollbacks` count per restored component)
-    /// instead of poisoning every score after it. Returns the number of
-    /// rolled-back components.
-    fn train_guarded(cx: &mut StageCx<'_>, round: impl FnOnce(&mut StageCx<'_>)) -> usize {
+    /// Run a component-training round under a fault guard and report it
+    /// as one `ComponentsTrained` event. The predictor and estimator
+    /// weights are snapshotted first, and a round that panics or leaves
+    /// non-finite parameters is rolled back to the snapshot (one
+    /// `weight_rollbacks` count per restored component) instead of
+    /// poisoning every score after it.
+    fn train_guarded(cx: &mut StageCx<'_>, cold_start: bool, round: impl FnOnce(&mut StageCx<'_>)) {
+        let t_est = Instant::now();
+        let before = cx.state.score_stats();
         let pred_backup = cx.cfg.use_predictor.then(|| cx.state.predictor.save_state());
         let nov_backup = cx.cfg.use_novelty.then(|| cx.state.novelty.save_state());
         let panicked = catch_unwind(AssertUnwindSafe(|| round(&mut *cx))).is_err();
@@ -556,18 +538,18 @@ impl ReplayLearner {
         if let Some(b) = pred_backup {
             if panicked || !cx.state.predictor.params_finite() {
                 let _ = cx.state.predictor.load_state(&b);
-                cx.state.telemetry.weight_rollbacks += 1;
                 rollbacks += 1;
             }
         }
         if let Some(b) = nov_backup {
             if panicked || !cx.state.novelty.params_finite() {
                 let _ = cx.state.novelty.load_state(&b);
-                cx.state.telemetry.weight_rollbacks += 1;
                 rollbacks += 1;
             }
         }
-        rollbacks
+        cx.state.telemetry.estimation_secs += t_est.elapsed().as_secs_f64();
+        let scoring = cx.state.score_stats().since(&before);
+        cx.emit(RunEvent::ComponentsTrained { cold_start, rollbacks, scoring });
     }
 }
 
@@ -589,20 +571,16 @@ impl Learner for ReplayLearner {
     }
 
     fn train_cold_start(&mut self, cx: &mut StageCx<'_>) {
-        let t_est = Instant::now();
         let passes = cx.cfg.retrain_epochs.max(1);
         let history = cx.state.eval_history.clone();
-        let rollbacks = Self::train_guarded(cx, move |cx| {
+        Self::train_guarded(cx, true, move |cx| {
             for _ in 0..passes {
                 Self::train_components_on(cx, &history, true);
             }
         });
-        cx.state.telemetry.estimation_secs += t_est.elapsed().as_secs_f64();
-        cx.emit(RunEvent::ComponentsTrained { cold_start: true, rollbacks });
     }
 
     fn finetune(&mut self, cx: &mut StageCx<'_>) {
-        let t_est = Instant::now();
         // Draw every uniform sample before training: sampling consumes the
         // run RNG identically whether the steps below are per-sample or
         // minibatched, so `cfg.minibatch` never shifts the decision stream.
@@ -616,7 +594,7 @@ impl Learner for ReplayLearner {
         let use_predictor = cx.cfg.use_predictor;
         let recent = cx.state.eval_history.len().saturating_sub(cx.cfg.retrain_epochs);
         let tail: Vec<(Vec<usize>, f64)> = cx.state.eval_history[recent..].to_vec();
-        let rollbacks = Self::train_guarded(cx, move |cx| {
+        Self::train_guarded(cx, false, move |cx| {
             Self::train_components_on(cx, &sampled, true);
             // Anchor the predictor on real downstream results as well, so
             // estimated rewards cannot drift from evaluated ones.
@@ -624,8 +602,6 @@ impl Learner for ReplayLearner {
                 Self::train_components_on(cx, &tail, false);
             }
         });
-        cx.state.telemetry.estimation_secs += t_est.elapsed().as_secs_f64();
-        cx.emit(RunEvent::ComponentsTrained { cold_start: false, rollbacks });
     }
 }
 

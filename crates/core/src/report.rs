@@ -1,8 +1,8 @@
 //! Run reporting: human-readable summaries and CSV traces of a
-//! [`RunResult`](crate::engine::RunResult), plus re-application of a saved
+//! [`RunResult`], plus re-application of a saved
 //! feature set to new data via the expression parser.
 
-use crate::engine::RunResult;
+use crate::engine::{RunResult, Telemetry};
 use crate::expr::Expr;
 use crate::parse::parse_expr;
 use crate::transform::sanitize_column;
@@ -28,10 +28,12 @@ pub fn summary(result: &RunResult) -> String {
         "evals      : {} downstream, {} predictor calls",
         t.downstream_evals, t.predictor_calls
     );
+    let other = other_secs(&t);
+    let other_pct = if t.total_secs > 0.0 { 100.0 * other / t.total_secs } else { 0.0 };
     let _ = writeln!(
         s,
-        "time       : {:.2}s total = {:.2}s evaluation + {:.2}s estimation + {:.2}s optimization (+ rest)",
-        t.total_secs, t.evaluation_secs, t.estimation_secs, t.optimization_secs
+        "time       : {:.2}s total = {:.2}s evaluation + {:.2}s estimation + {:.2}s optimization + {:.2}s other ({:.1}%)",
+        t.total_secs, t.evaluation_secs, t.estimation_secs, t.optimization_secs, other, other_pct
     );
     let _ = writeln!(
         s,
@@ -69,6 +71,12 @@ pub fn summary(result: &RunResult) -> String {
         let _ = writeln!(s, "  {e}");
     }
     s
+}
+
+/// Wall time outside Table II's three rows (loop bookkeeping, crossing,
+/// checkpoint writes): `total − evaluation − estimation − optimization`.
+pub fn other_secs(t: &Telemetry) -> f64 {
+    t.total_secs - t.evaluation_secs - t.estimation_secs - t.optimization_secs
 }
 
 /// CSV header + rows of the per-step trace (for offline plotting).
@@ -147,6 +155,41 @@ mod tests {
             2,
         )
         .unwrap()
+    }
+
+    #[test]
+    fn summary_time_terms_sum_to_total() {
+        let telemetry = Telemetry {
+            total_secs: 5.0,
+            evaluation_secs: 3.0,
+            estimation_secs: 1.0,
+            optimization_secs: 0.5,
+            ..Telemetry::default()
+        };
+        let t = telemetry;
+        let other = other_secs(&t);
+        assert_eq!(other, 0.5);
+        assert_eq!(
+            t.evaluation_secs + t.estimation_secs + t.optimization_secs + other,
+            t.total_secs
+        );
+        let result = RunResult {
+            base_score: 0.5,
+            best_score: 0.6,
+            best_dataset: toy(),
+            best_exprs: vec![Expr::base(0), Expr::base(1)],
+            records: Vec::new(),
+            episode_best: Vec::new(),
+            telemetry,
+            stop_reason: crate::engine::StopReason::Completed,
+        };
+        let text = summary(&result);
+        assert!(
+            text.contains(
+                "5.00s total = 3.00s evaluation + 1.00s estimation + 0.50s optimization + 0.50s other (10.0%)"
+            ),
+            "{text}"
+        );
     }
 
     #[test]

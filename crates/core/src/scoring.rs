@@ -18,8 +18,8 @@ use fastft_nn::{EncoderState, SequenceRegressor};
 /// own bucket, everything ≥ 8 in the last.
 pub const BATCH_HIST_BUCKETS: usize = 8;
 
-/// Counters describing prefix-cache and batching behaviour. `Copy` so the
-/// engine can fold it into its `Telemetry` snapshot.
+/// Counters describing prefix-cache and batching behaviour. `Copy` so run
+/// events can carry the counters one call added.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct ScoreStats {
     /// Scoring calls that reused a cached (full or partial) prefix state.
@@ -44,41 +44,27 @@ impl ScoreStats {
 
     /// Element-wise sum of two counter sets.
     pub fn merge(&self, other: &ScoreStats) -> ScoreStats {
-        let mut hist = self.batch_hist;
-        for (h, o) in hist.iter_mut().zip(other.batch_hist.iter()) {
-            *h += o;
+        self.zip_with(other, |a, b| a + b)
+    }
+
+    /// Element-wise difference `self − earlier`: the counters added since
+    /// `earlier` was read from the same (monotone) counter set.
+    pub(crate) fn since(&self, earlier: &ScoreStats) -> ScoreStats {
+        self.zip_with(earlier, |a, b| a - b)
+    }
+
+    fn zip_with(&self, other: &ScoreStats, f: impl Fn(u64, u64) -> u64) -> ScoreStats {
+        let mut batch_hist = self.batch_hist;
+        for (h, o) in batch_hist.iter_mut().zip(&other.batch_hist) {
+            *h = f(*h, *o);
         }
         ScoreStats {
-            prefix_hits: self.prefix_hits + other.prefix_hits,
-            prefix_misses: self.prefix_misses + other.prefix_misses,
-            evictions: self.evictions + other.evictions,
-            batches: self.batches + other.batches,
-            batch_hist: hist,
+            prefix_hits: f(self.prefix_hits, other.prefix_hits),
+            prefix_misses: f(self.prefix_misses, other.prefix_misses),
+            evictions: f(self.evictions, other.evictions),
+            batches: f(self.batches, other.batches),
+            batch_hist,
         }
-    }
-}
-
-impl fastft_tabular::persist::Persist for ScoreStats {
-    fn persist(&self, w: &mut fastft_tabular::persist::Writer) {
-        let ScoreStats { prefix_hits, prefix_misses, evictions, batches, batch_hist } = self;
-        prefix_hits.persist(w);
-        prefix_misses.persist(w);
-        evictions.persist(w);
-        batches.persist(w);
-        batch_hist.persist(w);
-    }
-
-    fn restore(
-        r: &mut fastft_tabular::persist::Reader,
-    ) -> fastft_tabular::persist::PersistResult<Self> {
-        use fastft_tabular::persist::Persist;
-        Ok(ScoreStats {
-            prefix_hits: Persist::restore(r)?,
-            prefix_misses: Persist::restore(r)?,
-            evictions: Persist::restore(r)?,
-            batches: Persist::restore(r)?,
-            batch_hist: Persist::restore(r)?,
-        })
     }
 }
 
@@ -290,5 +276,7 @@ mod tests {
         assert_eq!(m.prefix_misses, 5);
         assert_eq!(m.batch_hist[1], 1);
         assert_eq!(m.batch_hist[BATCH_HIST_BUCKETS - 1], 1, "oversize batches clamp");
+        assert_eq!(m.since(&a), b);
+        assert_eq!(m.since(&m), ScoreStats::default());
     }
 }

@@ -324,6 +324,15 @@ fn build_hist<C: Criterion>(binned: &BinnedMatrix, crit: &C, rows: &[usize], his
     }
 }
 
+/// The inputs that stay fixed while one tree grows.
+struct Grow<'g, C> {
+    crit: &'g C,
+    params: &'g CartParams,
+    /// Rows at the root, for weighting split importances.
+    n_total: usize,
+    rng: &'g mut StdRng,
+}
+
 impl Cart {
     fn fit<C: Criterion>(
         columns: &[Vec<f64>],
@@ -335,7 +344,7 @@ impl Cart {
         let n_features = columns.len();
         let n_total = rows.len();
         let mut tree = Cart { nodes: Vec::new(), importances: vec![0.0; n_features] };
-        tree.grow(columns, crit, params, rows, 0, n_total, rng);
+        tree.grow(columns, &mut Grow { crit, params, n_total, rng }, rows, 0);
         tree.normalise_importances();
         tree
     }
@@ -355,7 +364,14 @@ impl Cart {
         let mut ws = HistWorkspace::new(n_features * binned.stride() * width, n_total);
         let mut root = ws.alloc();
         build_hist(binned, crit, &rows, &mut root);
-        tree.grow_hist(binned, crit, params, &mut ws, &mut rows, root, 0, n_total, rng);
+        tree.grow_hist(
+            binned,
+            &mut Grow { crit, params, n_total, rng },
+            &mut ws,
+            &mut rows,
+            root,
+            0,
+        );
         tree.normalise_importances();
         tree
     }
@@ -373,19 +389,16 @@ impl Cart {
     /// Recursively grow a histogram-mode subtree; returns its root node
     /// index. `hist` is this node's histogram (ownership transfers in:
     /// it is either recycled into `ws` or reused for the larger child).
-    #[allow(clippy::too_many_arguments)]
     fn grow_hist<C: Criterion>(
         &mut self,
         binned: &BinnedMatrix,
-        crit: &C,
-        params: &CartParams,
+        g: &mut Grow<'_, C>,
         ws: &mut HistWorkspace,
         rows: &mut [usize],
         hist: Vec<f64>,
         depth: usize,
-        n_total: usize,
-        rng: &mut StdRng,
     ) -> usize {
+        let (crit, params, n_total) = (g.crit, g.params, g.n_total);
         let n = rows.len();
         let width = crit.hist_width();
         // Node-level stats: every row lands in exactly one bin of feature
@@ -406,7 +419,7 @@ impl Cart {
             depth >= params.max_depth || n < params.min_samples_split || impurity <= 1e-12;
         if !make_leaf {
             if let Some((feature, bin, gain)) =
-                best_split_hist(binned, crit, params, &hist, &node, impurity, rng)
+                best_split_hist(binned, crit, params, &hist, &node, impurity, g.rng)
             {
                 let threshold = binned.threshold(feature, bin);
                 self.importances[feature] += gain * n as f64 / n_total as f64;
@@ -446,28 +459,8 @@ impl Cart {
                     if left_smaller { (small, large) } else { (large, small) };
                 let idx = self.nodes.len();
                 self.nodes.push(Node::Split { feature, threshold, left: 0, right: 0 });
-                let left = self.grow_hist(
-                    binned,
-                    crit,
-                    params,
-                    ws,
-                    left_rows,
-                    left_hist,
-                    depth + 1,
-                    n_total,
-                    rng,
-                );
-                let right = self.grow_hist(
-                    binned,
-                    crit,
-                    params,
-                    ws,
-                    right_rows,
-                    right_hist,
-                    depth + 1,
-                    n_total,
-                    rng,
-                );
+                let left = self.grow_hist(binned, g, ws, left_rows, left_hist, depth + 1);
+                let right = self.grow_hist(binned, g, ws, right_rows, right_hist, depth + 1);
                 if let Node::Split { left: l, right: r, .. } = &mut self.nodes[idx] {
                     *l = left;
                     *r = right;
@@ -482,17 +475,14 @@ impl Cart {
     }
 
     /// Recursively grow a subtree; returns its root node index.
-    #[allow(clippy::too_many_arguments)]
     fn grow<C: Criterion>(
         &mut self,
         columns: &[Vec<f64>],
-        crit: &C,
-        params: &CartParams,
+        g: &mut Grow<'_, C>,
         rows: Vec<usize>,
         depth: usize,
-        n_total: usize,
-        rng: &mut StdRng,
     ) -> usize {
+        let (crit, params, n_total) = (g.crit, g.params, g.n_total);
         let n = rows.len();
         let stats = crit.stats(&rows);
         let impurity = crit.impurity(&stats, n);
@@ -501,13 +491,13 @@ impl Cart {
             depth >= params.max_depth || n < params.min_samples_split || impurity <= 1e-12;
         if !make_leaf {
             if let Some((feature, threshold, gain, left_rows, right_rows)) =
-                best_split(columns, crit, params, &rows, impurity, rng)
+                best_split(columns, crit, params, &rows, impurity, g.rng)
             {
                 self.importances[feature] += gain * n as f64 / n_total as f64;
                 let idx = self.nodes.len();
                 self.nodes.push(Node::Split { feature, threshold, left: 0, right: 0 });
-                let left = self.grow(columns, crit, params, left_rows, depth + 1, n_total, rng);
-                let right = self.grow(columns, crit, params, right_rows, depth + 1, n_total, rng);
+                let left = self.grow(columns, g, left_rows, depth + 1);
+                let right = self.grow(columns, g, right_rows, depth + 1);
                 if let Node::Split { left: l, right: r, .. } = &mut self.nodes[idx] {
                     *l = left;
                     *r = right;

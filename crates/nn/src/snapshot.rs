@@ -10,7 +10,6 @@
 
 use crate::matrix::Tensor;
 use crate::optim::Adam;
-use fastft_tabular::persist::{Persist, PersistResult, Reader, Writer};
 
 /// A flat, order-preserving snapshot of one network's mutable state.
 #[derive(Debug, Clone, PartialEq, Default)]
@@ -81,23 +80,7 @@ pub fn params_finite(params: &[&mut Tensor]) -> bool {
     params.iter().all(|p| p.value.data.iter().all(|v| v.is_finite()))
 }
 
-impl Persist for NetState {
-    fn persist(&self, w: &mut Writer) {
-        self.params.persist(w);
-        self.opt_t.persist(w);
-        self.opt_m.persist(w);
-        self.opt_v.persist(w);
-    }
-
-    fn restore(r: &mut Reader) -> PersistResult<Self> {
-        Ok(NetState {
-            params: Persist::restore(r)?,
-            opt_t: Persist::restore(r)?,
-            opt_m: Persist::restore(r)?,
-            opt_v: Persist::restore(r)?,
-        })
-    }
-}
+fastft_tabular::persist_struct!(NetState { params, opt_t, opt_m, opt_v });
 
 #[cfg(test)]
 mod tests {

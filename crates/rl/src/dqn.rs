@@ -267,21 +267,7 @@ impl Persist for QKind {
     }
 }
 
-impl Persist for QAgentState {
-    fn persist(&self, w: &mut Writer) {
-        self.online.persist(w);
-        self.target.persist(w);
-        self.updates.persist(w);
-    }
-
-    fn restore(r: &mut Reader) -> PersistResult<Self> {
-        Ok(QAgentState {
-            online: Persist::restore(r)?,
-            target: Persist::restore(r)?,
-            updates: Persist::restore(r)?,
-        })
-    }
-}
+fastft_tabular::persist_struct!(QAgentState { online, target, updates });
 
 #[cfg(test)]
 mod tests {

@@ -37,6 +37,31 @@ pub trait Persist: Sized {
     fn restore(r: &mut Reader) -> PersistResult<Self>;
 }
 
+/// Implement [`Persist`] for a struct from one list of its fields:
+/// `persist_struct!(Decision { candidates, action });`. Long lists read
+/// best in the brace form, `persist_struct! { Type { a, b, … } }`.
+///
+/// Fields are written and read in list order. `persist` destructures the
+/// struct without `..` and `restore` builds it with a struct literal, so a
+/// field missing from the list is a compile error in both directions.
+#[macro_export]
+macro_rules! persist_struct {
+    ($ty:ident { $($field:ident),+ $(,)? }) => {
+        impl $crate::persist::Persist for $ty {
+            fn persist(&self, w: &mut $crate::persist::Writer) {
+                let $ty { $($field),+ } = self;
+                $($crate::persist::Persist::persist($field, w);)+
+            }
+
+            fn restore(
+                r: &mut $crate::persist::Reader,
+            ) -> $crate::persist::PersistResult<Self> {
+                Ok($ty { $($field: $crate::persist::Persist::restore(r)?),+ })
+            }
+        }
+    };
+}
+
 /// Growable little-endian byte sink.
 #[derive(Default)]
 pub struct Writer {
@@ -388,6 +413,26 @@ mod tests {
         let bytes = w.into_bytes();
         let mut restored = crate::rngx::StdRng::restore(&mut Reader::new(&bytes)).unwrap();
         assert_eq!(restored.next_u64(), rng.next_u64());
+    }
+
+    #[derive(Debug, PartialEq)]
+    struct Pair {
+        name: String,
+        weights: Vec<f64>,
+    }
+
+    crate::persist_struct!(Pair { name, weights });
+
+    #[test]
+    fn persist_struct_writes_fields_in_list_order() {
+        let pair = Pair { name: "p".into(), weights: vec![0.5] };
+        round_trip(&pair);
+        let mut w = Writer::new();
+        pair.persist(&mut w);
+        let mut expect = Writer::new();
+        pair.name.persist(&mut expect);
+        pair.weights.persist(&mut expect);
+        assert_eq!(w.into_bytes(), expect.into_bytes());
     }
 
     #[test]

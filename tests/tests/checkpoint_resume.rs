@@ -58,8 +58,9 @@ fn kill_and_resume_is_bitwise_identical_to_uninterrupted_run() {
     assert_eq!(resumed.best_exprs, full.best_exprs);
     assert_eq!(resumed.records, full.records);
     assert_eq!(resumed.episode_best, full.episode_best);
-    // ...and of the deterministic telemetry counters. (Prefix-cache stats
-    // are excluded by design: the cache restarts cold after a resume.)
+    // ...and of the deterministic telemetry counters. Prefix-cache hits and
+    // misses split differently because the cache restarts cold after a
+    // resume, but every cached scoring call still counts exactly once.
     let (a, b) = (resumed.telemetry, full.telemetry);
     assert_eq!(a.downstream_evals, b.downstream_evals);
     assert_eq!(a.cache_hits, b.cache_hits);
@@ -67,6 +68,7 @@ fn kill_and_resume_is_bitwise_identical_to_uninterrupted_run() {
     assert_eq!(a.predictor_calls, b.predictor_calls);
     assert_eq!(a.score_batches, b.score_batches);
     assert_eq!(a.batch_size_hist, b.batch_size_hist);
+    assert_eq!(a.prefix_hits + a.prefix_misses, b.prefix_hits + b.prefix_misses);
     assert_eq!(a.eval_faults, 0);
     assert_eq!(a.quarantined, 0);
 

@@ -129,12 +129,17 @@ fn checkpoint_hash(path: &std::path::Path) -> (u64, usize) {
 }
 
 // --- golden constants (captured from the pre-refactor engine) -------------
+//
+// The two checkpoint constants were re-captured for checkpoint format
+// version 2, which dropped the `batched_scoring` flag (1 byte) and the
+// snapshot's prefix-cache counter baseline (96 bytes); those counters now
+// travel in the snapshot's telemetry. The run constants are unchanged.
 
 const GOLDEN_BASE_SCORE: u64 = 0x3fe47d851b84ad0e;
 const GOLDEN_BEST_SCORE: u64 = 0x3fe47d851b84ad0e;
 const GOLDEN_RESULT_HASH: u64 = 0xf3d4f6f1bcf534cc;
-const GOLDEN_CKPT_HASH: u64 = 0x155518a8f872640f;
-const GOLDEN_CKPT_LEN: usize = 1789302;
+const GOLDEN_CKPT_HASH: u64 = 0xb342d30f31305be3;
+const GOLDEN_CKPT_LEN: usize = 1789205;
 
 #[test]
 fn golden_trace_matches_pre_refactor_engine() {
