@@ -11,6 +11,10 @@ use fastft_ml::Evaluator;
 use fastft_nn::EncoderKind;
 use fastft_tabular::{FastFtError, FastFtResult};
 
+/// Token-embedding and hidden width of the Performance Predictor and the
+/// Novelty Estimator in a search (paper §V: 32).
+pub const COMPONENT_DIM: usize = 32;
+
 /// Full configuration of a FASTFT run.
 #[derive(Debug, Clone)]
 pub struct FastFtConfig {
@@ -199,14 +203,11 @@ impl FastFtConfig {
         self
     }
 
-    /// Start a validating builder from the paper defaults:
-    /// `FastFtConfig::builder().episodes(20).threads(8).build()?`.
-    pub fn builder() -> FastFtConfigBuilder {
-        FastFtConfigBuilder { config: FastFtConfig::default() }
-    }
-
-    /// Check the invariants the builder enforces. Useful for configurations
-    /// assembled with struct-update syntax.
+    /// Check the configuration's invariants. Build a custom configuration
+    /// with struct-update syntax and validate it before use:
+    /// `FastFtConfig { episodes: 20, ..FastFtConfig::default() }.validate()?`.
+    /// [`crate::FastFt::fit`] and [`crate::FastFt::resume_with`] validate
+    /// too and return the same error.
     pub fn validate(&self) -> FastFtResult<()> {
         let err = |m: String| Err(FastFtError::InvalidConfig(m));
         if self.episodes == 0 {
@@ -263,6 +264,9 @@ impl FastFtConfig {
         if self.checkpoint_every > 0 && self.checkpoint_path.is_none() {
             return err("checkpoint_every > 0 requires checkpoint_path".into());
         }
+        if let Err(m) = self.encoder.validate(COMPONENT_DIM) {
+            return err(format!("encoder: {m}"));
+        }
         if !self.max_wall_secs.is_finite() || self.max_wall_secs < 0.0 {
             return err(format!(
                 "max_wall_secs must be finite and >= 0 (0 = unlimited), got {}",
@@ -281,110 +285,6 @@ fastft_tabular::persist_struct! {
         mi_bins, evaluator, eval_cache_capacity, prefix_cache_capacity, minibatch, seed,
         use_predictor, use_novelty, prioritized_replay, encoder, rl, threads, checkpoint_every,
         checkpoint_path, max_wall_secs, max_downstream_evals, eval_retries,
-    }
-}
-
-/// Validating builder for [`FastFtConfig`] — the supported way to construct
-/// a customised configuration without bypassing range checks.
-#[derive(Debug, Clone)]
-pub struct FastFtConfigBuilder {
-    config: FastFtConfig,
-}
-
-macro_rules! builder_setters {
-    ($($(#[$doc:meta])* $name:ident: $ty:ty),* $(,)?) => {
-        $(
-            $(#[$doc])*
-            pub fn $name(mut self, value: $ty) -> Self {
-                self.config.$name = value;
-                self
-            }
-        )*
-    };
-}
-
-impl FastFtConfigBuilder {
-    builder_setters! {
-        /// Exploration episodes.
-        episodes: usize,
-        /// Steps per episode.
-        steps_per_episode: usize,
-        /// Cold-start episodes with pure downstream evaluation.
-        cold_start_episodes: usize,
-        /// Fine-tune cadence in episodes.
-        retrain_every: usize,
-        /// Samples per fine-tuning round.
-        retrain_epochs: usize,
-        /// Top-α % predicted-performance trigger percentile.
-        alpha: f64,
-        /// Top-β % novelty trigger percentile.
-        beta: f64,
-        /// Initial novelty-reward weight ε_s.
-        eps_start: f64,
-        /// Final novelty-reward weight ε_e.
-        eps_end: f64,
-        /// Novelty-weight decay steps M.
-        decay_m: f64,
-        /// Prioritized-replay memory size S.
-        memory_size: usize,
-        /// Discount factor γ.
-        gamma: f64,
-        /// Evaluation-component learning rate.
-        lr: f64,
-        /// Agent learning rate.
-        agent_lr: f64,
-        /// Agent hidden width.
-        agent_hidden: usize,
-        /// Feature cap as a multiple of the original width.
-        max_features_factor: f64,
-        /// Absolute feature cap.
-        max_features_cap: usize,
-        /// Cap on features from one crossing step.
-        max_new_per_step: usize,
-        /// Predictor-input token truncation length.
-        max_seq_len: usize,
-        /// Eq. 2 clustering stop threshold.
-        cluster_threshold: f64,
-        /// MI histogram bins.
-        mi_bins: usize,
-        /// Downstream evaluator.
-        evaluator: Evaluator,
-        /// Evaluation memo-cache capacity (0 = unbounded).
-        eval_cache_capacity: usize,
-        /// Prefix-state cache capacity for cached scoring (0 = disabled).
-        prefix_cache_capacity: usize,
-        /// Fine-tuning minibatch size (0 = per-sample steps).
-        minibatch: usize,
-        /// Master seed.
-        seed: u64,
-        /// Enable/disable the Performance Predictor.
-        use_predictor: bool,
-        /// Enable/disable the Novelty Estimator.
-        use_novelty: bool,
-        /// Prioritized vs uniform replay.
-        prioritized_replay: bool,
-        /// Sequence encoder.
-        encoder: EncoderKind,
-        /// RL framework.
-        rl: RlKind,
-        /// Worker-pool size (0 = `FASTFT_THREADS` / auto).
-        threads: usize,
-        /// Checkpoint cadence in completed episodes (0 = off).
-        checkpoint_every: usize,
-        /// Checkpoint file destination.
-        checkpoint_path: Option<std::path::PathBuf>,
-        /// Wall-clock budget in seconds (0 = unlimited).
-        max_wall_secs: f64,
-        /// Downstream-evaluation budget (0 = unlimited).
-        max_downstream_evals: usize,
-        /// Immediate retries before a faulting candidate is quarantined.
-        eval_retries: usize,
-    }
-
-    /// Validate and produce the configuration.
-    pub fn build(self) -> FastFtResult<FastFtConfig> {
-        self.config.validate()?;
-        Ok(self.config)
     }
 }
 
@@ -415,20 +315,31 @@ mod tests {
         assert!(c.max_features(2) >= 6);
     }
 
+    /// `validate` on `FastFtConfig { ..default }` with the given fields.
+    macro_rules! valid {
+        ($($field:ident: $value:expr),* $(,)?) => {
+            FastFtConfig { $($field: $value,)* ..FastFtConfig::default() }.validate().is_ok()
+        };
+    }
+
     #[test]
-    fn builder_accepts_valid_and_rejects_invalid() {
-        let c = FastFtConfig::builder().episodes(20).threads(8).build().unwrap();
-        assert_eq!(c.episodes, 20);
-        assert_eq!(c.threads, 8);
-        assert!(FastFtConfig::builder().alpha(-1.0).build().is_err());
-        assert!(FastFtConfig::builder().alpha(101.0).build().is_err());
-        assert!(FastFtConfig::builder().beta(250.0).build().is_err());
-        assert!(FastFtConfig::builder().eps_start(f64::NAN).build().is_err());
-        assert!(FastFtConfig::builder().eps_start(0.01).eps_end(0.5).build().is_err());
-        assert!(FastFtConfig::builder().memory_size(0).build().is_err());
-        assert!(FastFtConfig::builder().episodes(0).build().is_err());
-        assert!(FastFtConfig::builder().gamma(1.5).build().is_err());
-        assert!(FastFtConfig::builder().mi_bins(1).build().is_err());
+    fn validate_accepts_valid_and_rejects_invalid() {
+        assert!(valid!(episodes: 20, threads: 8));
+        assert!(!valid!(alpha: -1.0));
+        assert!(!valid!(alpha: 101.0));
+        assert!(!valid!(beta: 250.0));
+        assert!(!valid!(eps_start: f64::NAN));
+        assert!(!valid!(eps_start: 0.01, eps_end: 0.5));
+        assert!(!valid!(memory_size: 0));
+        assert!(!valid!(episodes: 0));
+        assert!(!valid!(gamma: 1.5));
+        assert!(!valid!(mi_bins: 1));
+        assert!(valid!(encoder: EncoderKind::Gru { layers: 1 }));
+        assert!(valid!(encoder: EncoderKind::Transformer { heads: 4, blocks: 1 }));
+        assert!(!valid!(encoder: EncoderKind::Lstm { layers: 0 }));
+        assert!(!valid!(encoder: EncoderKind::Rnn { layers: 0 }));
+        assert!(!valid!(encoder: EncoderKind::Transformer { heads: 0, blocks: 1 }));
+        assert!(!valid!(encoder: EncoderKind::Transformer { heads: 5, blocks: 1 }));
     }
 
     #[test]
@@ -440,11 +351,9 @@ mod tests {
     #[test]
     fn eval_cache_capacity_knob() {
         assert_eq!(FastFtConfig::default().eval_cache_capacity, 1024);
-        let c = FastFtConfig::builder().eval_cache_capacity(16).build().unwrap();
-        assert_eq!(c.eval_cache_capacity, 16);
+        assert!(valid!(eval_cache_capacity: 16));
         // 0 disables the cap (unbounded memoisation) and stays valid.
-        let c = FastFtConfig::builder().eval_cache_capacity(0).build().unwrap();
-        assert_eq!(c.eval_cache_capacity, 0);
+        assert!(valid!(eval_cache_capacity: 0));
     }
 
     #[test]
@@ -453,9 +362,7 @@ mod tests {
         assert_eq!(c.prefix_cache_capacity, 256);
         assert_eq!(c.minibatch, 0);
         // `prefix_cache_capacity = 0` is the off switch for cached scoring.
-        let c = FastFtConfig::builder().prefix_cache_capacity(0).minibatch(8).build().unwrap();
-        assert_eq!(c.prefix_cache_capacity, 0);
-        assert_eq!(c.minibatch, 8);
+        assert!(valid!(prefix_cache_capacity: 0, minibatch: 8));
     }
 
     #[test]
@@ -466,20 +373,17 @@ mod tests {
         assert_eq!(c.max_wall_secs, 0.0);
         assert_eq!(c.max_downstream_evals, 0);
         assert_eq!(c.eval_retries, 1);
-        let c = FastFtConfig::builder()
-            .checkpoint_every(5)
-            .checkpoint_path(Some("run.ckpt".into()))
-            .max_wall_secs(30.0)
-            .max_downstream_evals(100)
-            .eval_retries(2)
-            .build()
-            .unwrap();
-        assert_eq!(c.checkpoint_every, 5);
-        assert_eq!(c.max_downstream_evals, 100);
+        assert!(valid!(
+            checkpoint_every: 5,
+            checkpoint_path: Some("run.ckpt".into()),
+            max_wall_secs: 30.0,
+            max_downstream_evals: 100,
+            eval_retries: 2,
+        ));
         // Cadence without a destination is a configuration error.
-        assert!(FastFtConfig::builder().checkpoint_every(5).build().is_err());
-        assert!(FastFtConfig::builder().max_wall_secs(f64::NAN).build().is_err());
-        assert!(FastFtConfig::builder().max_wall_secs(-1.0).build().is_err());
+        assert!(!valid!(checkpoint_every: 5));
+        assert!(!valid!(max_wall_secs: f64::NAN));
+        assert!(!valid!(max_wall_secs: -1.0));
     }
 
     #[test]

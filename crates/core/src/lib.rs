@@ -21,7 +21,8 @@
 //! fn main() -> FastFtResult<()> {
 //!     let spec = datagen::by_name("pima_indian").unwrap();
 //!     let data = datagen::generate(spec, 0);
-//!     let cfg = FastFtConfig::builder().episodes(20).threads(4).build()?;
+//!     let cfg = FastFtConfig { episodes: 20, threads: 4, ..FastFtConfig::default() };
+//!     cfg.validate()?;
 //!     let result = FastFt::new(cfg).fit(&data)?;
 //!     println!("{} -> {}", result.base_score, result.best_score);
 //!     for e in &result.best_exprs {

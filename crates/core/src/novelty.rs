@@ -31,17 +31,11 @@ impl NoveltyEstimator {
     pub fn new(vocab: usize, cfg: PredictorConfig, seed: u64) -> Self {
         let estimator =
             SequenceRegressor::new(vocab, cfg.dim, cfg.dim, cfg.encoder, &[16, 4, 1], cfg.lr, seed);
-        let layers = match cfg.encoder {
-            fastft_nn::EncoderKind::Lstm { layers }
-            | fastft_nn::EncoderKind::Rnn { layers }
-            | fastft_nn::EncoderKind::Gru { layers } => layers,
-            fastft_nn::EncoderKind::Transformer { blocks, .. } => blocks.max(1),
-        };
         let target = SequenceRegressor::new_orthogonal_target(
             vocab,
             cfg.dim,
             cfg.dim,
-            layers,
+            cfg.encoder.depth(),
             &[1],
             Self::TARGET_GAIN,
             seed.wrapping_add(0x5eed),

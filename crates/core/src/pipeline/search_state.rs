@@ -11,7 +11,7 @@
 
 use crate::agents::{CascadingAgents, MemoryUnit};
 use crate::checkpoint::{self, Snapshot};
-use crate::config::FastFtConfig;
+use crate::config::{FastFtConfig, COMPONENT_DIM};
 use crate::expr::Expr;
 use crate::lru::LruCache;
 use crate::novelty::NoveltyEstimator;
@@ -157,7 +157,7 @@ impl SearchState {
     pub fn new(cfg: &FastFtConfig, data: &Dataset) -> Self {
         let vocab = TokenVocab::new(data.n_features());
         let pc = PredictorConfig {
-            dim: 32,
+            dim: COMPONENT_DIM,
             encoder: cfg.encoder,
             lr: cfg.lr,
             prefix_cache: cfg.prefix_cache_capacity,

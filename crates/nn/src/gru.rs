@@ -2,398 +2,114 @@
 //! beyond the paper's LSTM/RNN/Transformer trio, exposed through
 //! [`crate::seq::EncoderKind::Gru`] for extended encoder ablations.
 //!
-//! Gate layout inside the fused weights is `[r | z | n]` (reset, update,
-//! candidate), with the PyTorch-style candidate
-//! `n = tanh(x Wxn + r ⊙ (h Whn) + bn)`. Like the LSTM, the input projection
-//! `Zx = b ⊕ X Wx` is hoisted out of the time loop as one GEMM, each step
-//! adds a single recurrent GEMM (`Zh = h_prev Wh`), and scratch comes from a
-//! pooled [`NnWorkspace`]. Batched lanes and [`LayerState`] resume are
-//! supported for the prefix-cached scoring path.
+//! The gate math of [`GruCell`] runs on the shared [`crate::recurrent`]
+//! layer and stack. Gate layout inside the fused weights is `[r | z | n]`
+//! (reset, update, candidate), with the PyTorch-style candidate
+//! `n = tanh(x Wxn + r ⊙ (h Whn) + bn)`, so each step builds `Zh = h_prev Wh`
+//! from zero apart from the projected `Zx` rows.
 
 use crate::activation::sigmoid;
 use crate::init;
 use crate::matrix::{Matrix, Tensor};
-use crate::workspace::{LayerState, NnWorkspace};
+use crate::recurrent::{dot, Cache, Cell, Recurrent, RecurrentLayer};
 use fastft_tabular::rngx::StdRng;
 
+/// GRU gate math (`[r | z | n]`).
+#[derive(Debug, Clone)]
+pub struct GruCell;
+
 /// One GRU layer.
-#[derive(Debug, Clone)]
-pub struct GruLayer {
-    /// Input-to-gates weights (`in_dim × 3·hidden`).
-    pub wx: Tensor,
-    /// Hidden-to-gates weights (`hidden × 3·hidden`).
-    pub wh: Tensor,
-    /// Gate bias (`1 × 3·hidden`).
-    pub b: Tensor,
-    hidden: usize,
-    cache: Option<Cache>,
-}
-
-#[derive(Debug, Clone)]
-struct Cache {
-    x: Matrix,
-    /// T × 3H: `[r | z | n]` activated gates.
-    gates: Matrix,
-    /// T × H: `h Whn` pre-reset recurrent candidate contribution.
-    hn_lin: Matrix,
-    hiddens: Matrix,
-}
-
-impl GruLayer {
-    /// Xavier-initialised layer.
-    pub fn new(in_dim: usize, hidden: usize, rng: &mut StdRng) -> Self {
-        GruLayer {
-            wx: Tensor::from_matrix(init::xavier(rng, in_dim, 3 * hidden)),
-            wh: Tensor::from_matrix(init::xavier(rng, hidden, 3 * hidden)),
-            b: Tensor::zeros(1, 3 * hidden),
-            hidden,
-            cache: None,
-        }
-    }
-
-    /// Hidden size.
-    pub fn hidden(&self) -> usize {
-        self.hidden
-    }
-
-    /// Fused forward; see [`crate::lstm::LstmLayer`] for the time-major lane
-    /// packing and resume conventions.
-    fn run(
-        &self,
-        x: &Matrix,
-        batch: usize,
-        init: Option<&[&LayerState]>,
-        keep: bool,
-        states_out: Option<&mut Vec<LayerState>>,
-        ws: &mut NnWorkspace,
-    ) -> (Matrix, Option<Cache>) {
-        let h = self.hidden;
-        let g = 3 * h;
-        let rows = x.rows;
-        assert!(
-            batch >= 1 && rows.is_multiple_of(batch),
-            "rows {rows} not a multiple of batch {batch}"
-        );
-        let t_len = rows / batch;
-        if keep {
-            assert!(batch == 1 && init.is_none(), "training path is batch-of-one from t = 0");
-        }
-        // Input projection hoisted over the whole sequence: Zx = b ⊕ X Wx.
-        let mut zx = ws.take_matrix(rows, g);
-        for r in 0..rows {
-            zx.row_mut(r).copy_from_slice(&self.b.value.data);
-        }
-        self.wx.value.addmm_into(&x.data, rows, &mut zx.data);
-        let mut h_prev = ws.take(batch * h);
-        if let Some(states) = init {
-            assert_eq!(states.len(), batch, "one init state per lane");
-            for (bi, st) in states.iter().enumerate() {
-                h_prev[bi * h..(bi + 1) * h].copy_from_slice(&st.h);
-            }
-        }
-        let mut zh = ws.take(batch * g);
-        let mut out = ws.take_matrix(rows, h);
-        let mut hn_all = if keep { Some(ws.take_matrix(t_len, h)) } else { None };
-        for t in 0..t_len {
-            // Recurrent GEMM for this step's lanes: Zh = h_prev Wh.
-            zh.iter_mut().for_each(|v| *v = 0.0);
-            self.wh.value.addmm_into(&h_prev, batch, &mut zh);
-            let zx_rows = &mut zx.data[t * batch * g..(t + 1) * batch * g];
-            for bi in 0..batch {
-                let zxr = &mut zx_rows[bi * g..(bi + 1) * g];
-                let zhr = &zh[bi * g..(bi + 1) * g];
-                let hp = &mut h_prev[bi * h..(bi + 1) * h];
-                for j in 0..h {
-                    let r = sigmoid(zxr[j] + zhr[j]);
-                    let z = sigmoid(zxr[h + j] + zhr[h + j]);
-                    let hn_lin = zhr[2 * h + j];
-                    let n = (zxr[2 * h + j] + r * hn_lin).tanh();
-                    zxr[j] = r;
-                    zxr[h + j] = z;
-                    zxr[2 * h + j] = n;
-                    hp[j] = (1.0 - z) * n + z * hp[j];
-                }
-                out.row_mut(t * batch + bi).copy_from_slice(&h_prev[bi * h..(bi + 1) * h]);
-                if let Some(hn_all) = hn_all.as_mut() {
-                    // keep ⇒ batch == 1, so row t belongs to this lane.
-                    hn_all.row_mut(t).copy_from_slice(&zhr[2 * h..]);
-                }
-            }
-        }
-        if let Some(states) = states_out {
-            for bi in 0..batch {
-                states.push(LayerState { h: h_prev[bi * h..(bi + 1) * h].to_vec(), c: Vec::new() });
-            }
-        }
-        ws.give(h_prev);
-        ws.give(zh);
-        let cache = if keep {
-            // Pool-backed snapshots keep repeated train steps allocation-free.
-            let xc = ws.take_copy(x);
-            let hc = ws.take_copy(&out);
-            Some(Cache { x: xc, gates: zx, hn_lin: hn_all.unwrap(), hiddens: hc })
-        } else {
-            ws.give_matrix(zx);
-            None
-        };
-        (out, cache)
-    }
-
-    /// Forward with caches.
-    pub fn forward(&mut self, x: &Matrix) -> Matrix {
-        let mut ws = NnWorkspace::new();
-        self.forward_ws(x, &mut ws)
-    }
-
-    /// [`GruLayer::forward`] drawing scratch from a shared workspace.
-    pub fn forward_ws(&mut self, x: &Matrix, ws: &mut NnWorkspace) -> Matrix {
-        let (out, cache) = self.run(x, 1, None, true, None, ws);
-        self.cache = cache;
-        out
-    }
-
-    /// Inference-only forward.
-    pub fn infer(&self, x: &Matrix) -> Matrix {
-        let mut ws = NnWorkspace::new();
-        self.run(x, 1, None, false, None, &mut ws).0
-    }
-
-    /// BPTT; accumulates parameter gradients, returns `dX`.
-    pub fn backward(&mut self, d_out: &Matrix) -> Matrix {
-        let mut ws = NnWorkspace::new();
-        self.backward_ws(d_out, &mut ws)
-    }
-
-    /// [`GruLayer::backward`] drawing scratch from a shared workspace. The
-    /// per-step loop fills `dzx_t`/`dzh_t` rows and propagates `dh`; the
-    /// parameter gradients are hoisted into whole-sequence GEMMs afterwards
-    /// (`dWx += Xᵀ dZx`, `dWh += H[..T-1]ᵀ dZh[1..]`, `db += Σ_t dzx_t`,
-    /// `dX = dZx Wxᵀ`).
-    pub fn backward_ws(&mut self, d_out: &Matrix, ws: &mut NnWorkspace) -> Matrix {
-        let cache = self.cache.take().expect("forward before backward");
-        let t_len = cache.x.rows;
-        assert_eq!(d_out.rows, t_len);
-        let h = self.hidden;
-        let g = 3 * h;
-        // dzx over [r z n], dzh over [r z n] where the n-slot of zh is
-        // multiplied by r inside the candidate.
-        let mut dzx_all = ws.take_matrix(t_len, g);
-        let mut dzh_all = ws.take_matrix(t_len, g);
-        let mut dh_next = ws.take(h);
-        for t in (0..t_len).rev() {
-            let gates = cache.gates.row(t);
-            let hn_lin = cache.hn_lin.row(t);
-            let dzx = &mut dzx_all.data[t * g..(t + 1) * g];
-            let dzh = &mut dzh_all.data[t * g..(t + 1) * g];
-            for j in 0..h {
-                let dh = d_out[(t, j)] + dh_next[j];
-                let r = gates[j];
-                let z = gates[h + j];
-                let n = gates[2 * h + j];
-                let h_prev = if t == 0 { 0.0 } else { cache.hiddens[(t - 1, j)] };
-                // h = (1-z) n + z h_prev
-                let dz = dh * (h_prev - n);
-                let dn = dh * (1.0 - z);
-                // n = tanh(a), a = zx_n + r * hn_lin
-                let da = dn * (1.0 - n * n);
-                dzx[2 * h + j] = da;
-                let dr = da * hn_lin[j];
-                dzh[2 * h + j] = da * r;
-                // r = σ(zx_r + zh_r), z = σ(zx_z + zh_z)
-                let dzr = dr * r * (1.0 - r);
-                let dzz = dz * z * (1.0 - z);
-                dzx[j] = dzr;
-                dzh[j] = dzr;
-                dzx[h + j] = dzz;
-                dzh[h + j] = dzz;
-                // Direct h_prev pathway through the update gate; the Whᵀ
-                // pathway is added below once dzh_t is complete.
-                dh_next[j] = dh * z;
-            }
-            let dzh = &dzh_all.data[t * g..(t + 1) * g];
-            for (k, dhv) in dh_next.iter_mut().enumerate() {
-                *dhv += self.wh.value.row(k).iter().zip(dzh).map(|(a, b)| a * b).sum::<f64>();
-            }
-        }
-        cache.x.add_matmul_tn(&dzx_all, &mut self.wx.grad);
-        for t in 1..t_len {
-            let h_row = cache.hiddens.row(t - 1);
-            let dzh = dzh_all.row(t);
-            for (k, &hv) in h_row.iter().enumerate() {
-                let g_row = &mut self.wh.grad.data[k * g..(k + 1) * g];
-                for (gv, &dv) in g_row.iter_mut().zip(dzh) {
-                    *gv += hv * dv;
-                }
-            }
-        }
-        for t in 0..t_len {
-            for (gv, &dv) in self.b.grad.data.iter_mut().zip(dzx_all.row(t)) {
-                *gv += dv;
-            }
-        }
-        let in_dim = cache.x.cols;
-        let mut dx = ws.take_matrix(t_len, in_dim);
-        for t in 0..t_len {
-            let dzx = dzx_all.row(t);
-            let dx_row = &mut dx.data[t * in_dim..(t + 1) * in_dim];
-            for (k, dxv) in dx_row.iter_mut().enumerate() {
-                *dxv = self.wx.value.row(k).iter().zip(dzx).map(|(a, b)| a * b).sum();
-            }
-        }
-        ws.give(dh_next);
-        ws.give_matrix(dzx_all);
-        ws.give_matrix(dzh_all);
-        ws.give_matrix(cache.x);
-        ws.give_matrix(cache.gates);
-        ws.give_matrix(cache.hn_lin);
-        ws.give_matrix(cache.hiddens);
-        dx
-    }
-
-    /// Trainable parameters.
-    pub fn parameters(&mut self) -> Vec<&mut Tensor> {
-        vec![&mut self.wx, &mut self.wh, &mut self.b]
-    }
-
-    /// Parameter count.
-    pub fn n_params(&self) -> usize {
-        self.wx.len() + self.wh.len() + self.b.len()
-    }
-}
+pub type GruLayer = RecurrentLayer<GruCell>;
 
 /// A stack of GRU layers.
-#[derive(Debug, Clone)]
-pub struct Gru {
-    layers: Vec<GruLayer>,
+pub type Gru = Recurrent<GruCell>;
+
+impl Cell for GruCell {
+    const GATES: usize = 3;
+    const HAS_C: bool = false;
+    const SEPARATE_ZH: bool = true;
+    // Gates 3H + candidate linear H + hidden H.
+    const ACTIVATIONS: usize = 5;
+
+    /// Xavier initialisation, zero bias.
+    fn init(in_dim: usize, hidden: usize, rng: &mut StdRng) -> [Tensor; 3] {
+        let wx = Tensor::from_matrix(init::xavier(rng, in_dim, 3 * hidden));
+        let wh = Tensor::from_matrix(init::xavier(rng, hidden, 3 * hidden));
+        [wx, wh, Tensor::zeros(1, 3 * hidden)]
+    }
+
+    fn forward_step(wh: &Matrix, zx: &mut [f64], zh: &mut [f64], hs: &mut [f64], _cs: &mut [f64]) {
+        let h = wh.rows;
+        let g = 3 * h;
+        let batch = hs.len() / h;
+        // Recurrent GEMM for this step's lanes: Zh = h_prev Wh.
+        zh.iter_mut().for_each(|v| *v = 0.0);
+        wh.addmm_into(hs, batch, zh);
+        for bi in 0..batch {
+            let zxr = &mut zx[bi * g..(bi + 1) * g];
+            let zhr = &zh[bi * g..(bi + 1) * g];
+            let hp = &mut hs[bi * h..(bi + 1) * h];
+            for j in 0..h {
+                let r = sigmoid(zxr[j] + zhr[j]);
+                let z = sigmoid(zxr[h + j] + zhr[h + j]);
+                let hn_lin = zhr[2 * h + j];
+                let n = (zxr[2 * h + j] + r * hn_lin).tanh();
+                zxr[j] = r;
+                zxr[h + j] = z;
+                zxr[2 * h + j] = n;
+                hp[j] = (1.0 - z) * n + z * hp[j];
+            }
+        }
+    }
+
+    /// `dzx` and `dzh` share the `r`/`z` slots; the `n` slot of `dzh` is
+    /// scaled by `r`, which multiplies `h Whn` inside the candidate.
+    fn backward_step(
+        wh: &Matrix,
+        cache: &Cache,
+        t: usize,
+        dh_next: &mut [f64],
+        _dc: &mut [f64],
+        dzx: &mut [f64],
+        dzh: &mut [f64],
+    ) {
+        let h = wh.rows;
+        let gates = cache.gates.row(t);
+        let hn_lin = cache.extra.row(t);
+        for j in 0..h {
+            let dh = dh_next[j];
+            let r = gates[j];
+            let z = gates[h + j];
+            let n = gates[2 * h + j];
+            let h_prev = if t == 0 { 0.0 } else { cache.hiddens[(t - 1, j)] };
+            // h = (1-z) n + z h_prev
+            let dz = dh * (h_prev - n);
+            let dn = dh * (1.0 - z);
+            // n = tanh(a), a = zx_n + r * hn_lin
+            let da = dn * (1.0 - n * n);
+            dzx[2 * h + j] = da;
+            let dr = da * hn_lin[j];
+            dzh[2 * h + j] = da * r;
+            // r = σ(zx_r + zh_r), z = σ(zx_z + zh_z)
+            let dzr = dr * r * (1.0 - r);
+            let dzz = dz * z * (1.0 - z);
+            dzx[j] = dzr;
+            dzh[j] = dzr;
+            dzx[h + j] = dzz;
+            dzh[h + j] = dzz;
+            // Direct h_prev pathway through the update gate; the Whᵀ
+            // pathway is added below once dzh_t is complete.
+            dh_next[j] = dh * z;
+        }
+        for (k, dhv) in dh_next.iter_mut().enumerate() {
+            *dhv += dot(wh.row(k), dzh);
+        }
+    }
 }
 
-impl Gru {
-    /// Stack `n_layers` GRU layers.
-    pub fn new(in_dim: usize, hidden: usize, n_layers: usize, rng: &mut StdRng) -> Self {
-        assert!(n_layers >= 1);
-        let mut layers = Vec::with_capacity(n_layers);
-        layers.push(GruLayer::new(in_dim, hidden, rng));
-        for _ in 1..n_layers {
-            layers.push(GruLayer::new(hidden, hidden, rng));
-        }
-        Gru { layers }
-    }
-
-    /// Hidden size of the final layer.
-    pub fn hidden(&self) -> usize {
-        self.layers.last().unwrap().hidden()
-    }
-
-    /// Borrow the layer stack (read-only), e.g. for the unfused reference
-    /// implementation in [`crate::reference`].
-    pub fn layers(&self) -> &[GruLayer] {
-        &self.layers
-    }
-
-    /// Forward through the stack.
-    pub fn forward(&mut self, x: &Matrix) -> Matrix {
-        let mut ws = NnWorkspace::new();
-        self.forward_ws(x, &mut ws)
-    }
-
-    /// [`Gru::forward`] drawing scratch from a shared workspace.
-    pub fn forward_ws(&mut self, x: &Matrix, ws: &mut NnWorkspace) -> Matrix {
-        let mut h: Option<Matrix> = None;
-        for layer in &mut self.layers {
-            let out = {
-                let input = h.as_ref().unwrap_or(x);
-                layer.forward_ws(input, ws)
-            };
-            if let Some(prev) = h.take() {
-                ws.give_matrix(prev);
-            }
-            h = Some(out);
-        }
-        h.expect("at least one layer")
-    }
-
-    /// Inference-only forward.
-    pub fn infer(&self, x: &Matrix) -> Matrix {
-        let mut ws = NnWorkspace::new();
-        self.infer_batch(x, 1, None, None, &mut ws)
-    }
-
-    /// Batched inference over time-major packed lanes with optional state
-    /// resume; same conventions as [`crate::lstm::Lstm::infer_batch`].
-    pub fn infer_batch(
-        &self,
-        x: &Matrix,
-        batch: usize,
-        init: Option<&[&[LayerState]]>,
-        mut states_out: Option<&mut Vec<Vec<LayerState>>>,
-        ws: &mut NnWorkspace,
-    ) -> Matrix {
-        let n_layers = self.layers.len();
-        if let Some(init) = init {
-            assert_eq!(init.len(), batch, "one init lane per batch row");
-            for lane in init {
-                assert_eq!(lane.len(), n_layers, "one init state per layer");
-            }
-        }
-        if let Some(states) = states_out.as_deref_mut() {
-            states.clear();
-            states.resize_with(batch, || Vec::with_capacity(n_layers));
-        }
-        let mut h: Option<Matrix> = None;
-        for (li, layer) in self.layers.iter().enumerate() {
-            let init_states: Option<Vec<&LayerState>> =
-                init.map(|lanes| lanes.iter().map(|lane| &lane[li]).collect());
-            let mut layer_states: Option<Vec<LayerState>> =
-                if states_out.is_some() { Some(Vec::with_capacity(batch)) } else { None };
-            let out = {
-                let input = h.as_ref().unwrap_or(x);
-                layer.run(input, batch, init_states.as_deref(), false, layer_states.as_mut(), ws).0
-            };
-            if let Some(prev) = h.take() {
-                ws.give_matrix(prev);
-            }
-            h = Some(out);
-            if let (Some(acc), Some(ls)) = (states_out.as_deref_mut(), layer_states) {
-                for (lane, st) in acc.iter_mut().zip(ls) {
-                    lane.push(st);
-                }
-            }
-        }
-        h.expect("at least one layer")
-    }
-
-    /// Backward through the stack.
-    pub fn backward(&mut self, d_out: &Matrix) -> Matrix {
-        let mut ws = NnWorkspace::new();
-        self.backward_ws(d_out, &mut ws)
-    }
-
-    /// [`Gru::backward`] drawing scratch from a shared workspace.
-    pub fn backward_ws(&mut self, d_out: &Matrix, ws: &mut NnWorkspace) -> Matrix {
-        let mut d: Option<Matrix> = None;
-        for layer in self.layers.iter_mut().rev() {
-            let grad = {
-                let upstream = d.as_ref().unwrap_or(d_out);
-                layer.backward_ws(upstream, ws)
-            };
-            if let Some(prev) = d.take() {
-                ws.give_matrix(prev);
-            }
-            d = Some(grad);
-        }
-        d.expect("at least one layer")
-    }
-
-    /// Trainable parameters (stable order).
-    pub fn parameters(&mut self) -> Vec<&mut Tensor> {
-        self.layers.iter_mut().flat_map(GruLayer::parameters).collect()
-    }
-
-    /// Parameter count.
-    pub fn n_params(&self) -> usize {
-        self.layers.iter().map(GruLayer::n_params).sum()
-    }
-}
+// The tests below resume and batch through these.
+#[cfg(test)]
+use crate::workspace::{LayerState, NnWorkspace};
 
 #[cfg(test)]
 #[allow(clippy::needless_range_loop)] // index-driven perturbation loops

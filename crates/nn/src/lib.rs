@@ -14,6 +14,7 @@
 pub mod activation;
 pub mod dense;
 pub mod embedding;
+mod encoder;
 pub mod gradcheck;
 pub mod gru;
 pub mod init;
@@ -21,6 +22,7 @@ pub mod lstm;
 pub mod matrix;
 pub mod mlp;
 pub mod optim;
+pub mod recurrent;
 pub mod reference;
 pub mod rnn;
 pub mod seq;

@@ -1,300 +1,117 @@
-//! Single- and stacked-layer LSTM with full backpropagation through time.
+//! Stacked LSTM: the gate math of [`LstmCell`] on the shared
+//! [`crate::recurrent`] layer and stack.
 //!
-//! The kernels are *fused*: the per-gate weights live in single concatenated
-//! tensors (`in_dim × 4·hidden`, gate layout `[i | f | g | o]`), the input
-//! projection `Z = b ⊕ X Wx` is hoisted out of the time loop as one GEMM for
-//! the whole sequence, and each timestep then costs a single recurrent GEMM
-//! (`h_prev Wh`) plus the scalar gate math. Forward supports time-major
-//! batched lanes and resuming from a saved [`LayerState`], which is what the
-//! batched/prefix-cached scoring paths in `fastft-core` build on. All scratch
-//! comes from a pooled [`NnWorkspace`], so steady-state calls don't allocate.
+//! Gate layout inside the fused weights is `[i | f | g | o]` (input,
+//! forget, candidate, output). Each step accumulates `h_prev Wh` straight
+//! into the projected `Z` rows and carries the cell state `c` beside `h`.
 
 use crate::activation::sigmoid;
 use crate::init;
 use crate::matrix::{Matrix, Tensor};
-use crate::workspace::{LayerState, NnWorkspace};
+use crate::recurrent::{dot, Cache, Cell, Recurrent, RecurrentLayer};
 use fastft_tabular::rngx::StdRng;
 
+/// LSTM gate math (`[i | f | g | o]`, cell state `c`).
+#[derive(Debug, Clone)]
+pub struct LstmCell;
+
 /// One LSTM layer.
-#[derive(Debug, Clone)]
-pub struct LstmLayer {
-    /// Input-to-gates weights (`in_dim × 4·hidden`).
-    pub wx: Tensor,
-    /// Hidden-to-gates weights (`hidden × 4·hidden`).
-    pub wh: Tensor,
-    /// Gate bias (`1 × 4·hidden`).
-    pub b: Tensor,
-    hidden: usize,
-    cache: Option<Cache>,
-}
+pub type LstmLayer = RecurrentLayer<LstmCell>;
 
-#[derive(Debug, Clone)]
-struct Cache {
-    x: Matrix,       // T × in_dim
-    gates: Matrix,   // T × 4H, activated [i f g o]
-    cells: Matrix,   // T × H
-    hiddens: Matrix, // T × H
-}
+/// A stack of LSTM layers (the paper uses 2).
+pub type Lstm = Recurrent<LstmCell>;
 
-impl LstmLayer {
-    /// Xavier-initialised layer with forget-gate bias 1 (standard trick for
+impl Cell for LstmCell {
+    const GATES: usize = 4;
+    const HAS_C: bool = true;
+    const SEPARATE_ZH: bool = false;
+    // Gates 4H + cell H + hidden H.
+    const ACTIVATIONS: usize = 6;
+
+    /// Xavier initialisation with forget-gate bias 1 (standard trick for
     /// gradient flow on short sequences).
-    pub fn new(in_dim: usize, hidden: usize, rng: &mut StdRng) -> Self {
+    fn init(in_dim: usize, hidden: usize, rng: &mut StdRng) -> [Tensor; 3] {
         let mut b = Tensor::zeros(1, 4 * hidden);
         for j in hidden..2 * hidden {
             b.value.data[j] = 1.0;
         }
-        LstmLayer {
-            wx: Tensor::from_matrix(init::xavier(rng, in_dim, 4 * hidden)),
-            wh: Tensor::from_matrix(init::xavier(rng, hidden, 4 * hidden)),
-            b,
-            hidden,
-            cache: None,
-        }
+        let wx = Tensor::from_matrix(init::xavier(rng, in_dim, 4 * hidden));
+        let wh = Tensor::from_matrix(init::xavier(rng, hidden, 4 * hidden));
+        [wx, wh, b]
     }
 
-    /// Orthogonally-initialised variant (RND target networks).
-    pub fn new_orthogonal(in_dim: usize, hidden: usize, gain: f64, rng: &mut StdRng) -> Self {
-        LstmLayer {
-            wx: Tensor::from_matrix(init::orthogonal(rng, in_dim, 4 * hidden, gain)),
-            wh: Tensor::from_matrix(init::orthogonal(rng, hidden, 4 * hidden, gain)),
-            b: Tensor::zeros(1, 4 * hidden),
-            hidden,
-            cache: None,
-        }
-    }
-
-    /// Hidden size.
-    pub fn hidden(&self) -> usize {
-        self.hidden
-    }
-
-    /// Run the layer over a `T × in_dim` sequence, returning the `T × hidden`
-    /// hidden-state sequence and caching everything needed for
-    /// [`LstmLayer::backward`].
-    pub fn forward(&mut self, x: &Matrix) -> Matrix {
-        let mut ws = NnWorkspace::new();
-        self.forward_ws(x, &mut ws)
-    }
-
-    /// [`LstmLayer::forward`] drawing scratch from a shared workspace.
-    pub fn forward_ws(&mut self, x: &Matrix, ws: &mut NnWorkspace) -> Matrix {
-        let (out, cache) = self.run(x, 1, None, true, None, ws);
-        self.cache = cache;
-        out
-    }
-
-    /// Inference-only forward (no cache).
-    pub fn infer(&self, x: &Matrix) -> Matrix {
-        let mut ws = NnWorkspace::new();
-        self.run(x, 1, None, false, None, &mut ws).0
-    }
-
-    /// Fused forward over a time-major `(T·batch) × in_dim` input (row
-    /// `t·batch + lane` is timestep `t` of `lane`). `init` resumes each lane
-    /// from a saved state; `states_out` receives each lane's final state.
-    /// The training path (`keep`) is batch-of-one from t = 0.
-    fn run(
-        &self,
-        x: &Matrix,
-        batch: usize,
-        init: Option<&[&LayerState]>,
-        keep: bool,
-        states_out: Option<&mut Vec<LayerState>>,
-        ws: &mut NnWorkspace,
-    ) -> (Matrix, Option<Cache>) {
-        let h = self.hidden;
+    fn forward_step(wh: &Matrix, z: &mut [f64], _zh: &mut [f64], hs: &mut [f64], cs: &mut [f64]) {
+        let h = wh.rows;
         let g = 4 * h;
-        let rows = x.rows;
-        assert!(
-            batch >= 1 && rows.is_multiple_of(batch),
-            "rows {rows} not a multiple of batch {batch}"
-        );
-        let t_len = rows / batch;
-        if keep {
-            assert!(batch == 1 && init.is_none(), "training path is batch-of-one from t = 0");
-        }
-        // Input projection hoisted over the whole sequence: Z = b ⊕ X Wx.
-        let mut z = ws.take_matrix(rows, g);
-        for r in 0..rows {
-            z.row_mut(r).copy_from_slice(&self.b.value.data);
-        }
-        self.wx.value.addmm_into(&x.data, rows, &mut z.data);
-        let mut h_prev = ws.take(batch * h);
-        let mut c_prev = ws.take(batch * h);
-        if let Some(states) = init {
-            assert_eq!(states.len(), batch, "one init state per lane");
-            for (bi, st) in states.iter().enumerate() {
-                h_prev[bi * h..(bi + 1) * h].copy_from_slice(&st.h);
-                c_prev[bi * h..(bi + 1) * h].copy_from_slice(&st.c);
-            }
-        }
-        let mut out = ws.take_matrix(rows, h);
-        let mut cells = if keep { Some(ws.take_matrix(t_len, h)) } else { None };
-        for t in 0..t_len {
-            // Recurrent GEMM for this step's `batch` rows, then gate math.
-            let z_rows = &mut z.data[t * batch * g..(t + 1) * batch * g];
-            self.wh.value.addmm_into(&h_prev, batch, z_rows);
-            for bi in 0..batch {
-                let zr = &mut z_rows[bi * g..(bi + 1) * g];
-                let hp = &mut h_prev[bi * h..(bi + 1) * h];
-                let cp = &mut c_prev[bi * h..(bi + 1) * h];
-                for j in 0..h {
-                    let i = sigmoid(zr[j]);
-                    let f = sigmoid(zr[h + j]);
-                    let gg = zr[2 * h + j].tanh();
-                    let o = sigmoid(zr[3 * h + j]);
-                    zr[j] = i;
-                    zr[h + j] = f;
-                    zr[2 * h + j] = gg;
-                    zr[3 * h + j] = o;
-                    let c = f * cp[j] + i * gg;
-                    cp[j] = c;
-                    hp[j] = o * c.tanh();
-                }
-                out.row_mut(t * batch + bi).copy_from_slice(&h_prev[bi * h..(bi + 1) * h]);
-            }
-            if let Some(cells) = cells.as_mut() {
-                cells.row_mut(t).copy_from_slice(&c_prev[..h]);
-            }
-        }
-        if let Some(states) = states_out {
-            for bi in 0..batch {
-                states.push(LayerState {
-                    h: h_prev[bi * h..(bi + 1) * h].to_vec(),
-                    c: c_prev[bi * h..(bi + 1) * h].to_vec(),
-                });
-            }
-        }
-        ws.give(h_prev);
-        ws.give(c_prev);
-        let cache = if keep {
-            // Cache snapshots come from the pool too, so repeated train steps
-            // recycle the same buffers instead of growing the pool.
-            let xc = ws.take_copy(x);
-            let hc = ws.take_copy(&out);
-            Some(Cache { x: xc, gates: z, cells: cells.unwrap(), hiddens: hc })
-        } else {
-            ws.give_matrix(z);
-            None
-        };
-        (out, cache)
-    }
-
-    /// BPTT given the gradient w.r.t. the full hidden sequence (`T × hidden`).
-    /// Accumulates parameter gradients and returns `dX` (`T × in_dim`).
-    pub fn backward(&mut self, d_out: &Matrix) -> Matrix {
-        let mut ws = NnWorkspace::new();
-        self.backward_ws(d_out, &mut ws)
-    }
-
-    /// [`LstmLayer::backward`] drawing scratch from a shared workspace. The
-    /// per-step loop only fills `dz_t` rows and propagates `dh/dc`; the
-    /// parameter gradients are hoisted into whole-sequence GEMMs afterwards
-    /// (`dWx += Xᵀ dZ`, `dWh += H[..T-1]ᵀ dZ[1..]`, `db += Σ_t dz_t`,
-    /// `dX = dZ Wxᵀ`).
-    pub fn backward_ws(&mut self, d_out: &Matrix, ws: &mut NnWorkspace) -> Matrix {
-        let cache = self.cache.take().expect("forward before backward");
-        let t_len = cache.x.rows;
-        assert_eq!(d_out.rows, t_len);
-        let h = self.hidden;
-        let g = 4 * h;
-        let mut dz_all = ws.take_matrix(t_len, g);
-        let mut dh_next = ws.take(h);
-        let mut dc_next = ws.take(h);
-        for t in (0..t_len).rev() {
-            let gates = cache.gates.row(t);
-            let c_t = cache.cells.row(t);
-            let dz = &mut dz_all.data[t * g..(t + 1) * g];
+        let batch = hs.len() / h;
+        wh.addmm_into(hs, batch, z);
+        for bi in 0..batch {
+            let zr = &mut z[bi * g..(bi + 1) * g];
+            let hp = &mut hs[bi * h..(bi + 1) * h];
+            let cp = &mut cs[bi * h..(bi + 1) * h];
             for j in 0..h {
-                let dh = d_out[(t, j)] + dh_next[j];
-                let i = gates[j];
-                let f = gates[h + j];
-                let gg = gates[2 * h + j];
-                let o = gates[3 * h + j];
-                let tc = c_t[j].tanh();
-                let d_o = dh * tc;
-                let dc = dh * o * (1.0 - tc * tc) + dc_next[j];
-                let d_i = dc * gg;
-                let d_g = dc * i;
-                let d_f = dc * if t == 0 { 0.0 } else { cache.cells[(t - 1, j)] };
-                dc_next[j] = dc * f;
-                dz[j] = d_i * i * (1.0 - i);
-                dz[h + j] = d_f * f * (1.0 - f);
-                dz[2 * h + j] = d_g * (1.0 - gg * gg);
-                dz[3 * h + j] = d_o * o * (1.0 - o);
-            }
-            // dh_prev = dz Whᵀ (must stay in the loop — feeds step t-1).
-            let dz = &dz_all.data[t * g..(t + 1) * g];
-            for (k, dhv) in dh_next.iter_mut().enumerate() {
-                *dhv = self.wh.value.row(k).iter().zip(dz).map(|(a, b)| a * b).sum();
+                let i = sigmoid(zr[j]);
+                let f = sigmoid(zr[h + j]);
+                let gg = zr[2 * h + j].tanh();
+                let o = sigmoid(zr[3 * h + j]);
+                zr[j] = i;
+                zr[h + j] = f;
+                zr[2 * h + j] = gg;
+                zr[3 * h + j] = o;
+                let c = f * cp[j] + i * gg;
+                cp[j] = c;
+                hp[j] = o * c.tanh();
             }
         }
-        cache.x.add_matmul_tn(&dz_all, &mut self.wx.grad);
-        for t in 1..t_len {
-            let h_row = cache.hiddens.row(t - 1);
-            let dz = dz_all.row(t);
-            for (k, &hv) in h_row.iter().enumerate() {
-                let g_row = &mut self.wh.grad.data[k * g..(k + 1) * g];
-                for (gv, &dv) in g_row.iter_mut().zip(dz) {
-                    *gv += hv * dv;
-                }
-            }
-        }
-        for t in 0..t_len {
-            for (gv, &dv) in self.b.grad.data.iter_mut().zip(dz_all.row(t)) {
-                *gv += dv;
-            }
-        }
-        let in_dim = cache.x.cols;
-        let mut dx = ws.take_matrix(t_len, in_dim);
-        for t in 0..t_len {
-            let dz = dz_all.row(t);
-            let dx_row = &mut dx.data[t * in_dim..(t + 1) * in_dim];
-            for (k, dxv) in dx_row.iter_mut().enumerate() {
-                *dxv = self.wx.value.row(k).iter().zip(dz).map(|(a, b)| a * b).sum();
-            }
-        }
-        ws.give(dh_next);
-        ws.give(dc_next);
-        ws.give_matrix(dz_all);
-        ws.give_matrix(cache.x);
-        ws.give_matrix(cache.gates);
-        ws.give_matrix(cache.cells);
-        ws.give_matrix(cache.hiddens);
-        dx
     }
 
-    /// Trainable parameters.
-    pub fn parameters(&mut self) -> Vec<&mut Tensor> {
-        vec![&mut self.wx, &mut self.wh, &mut self.b]
-    }
-
-    /// Parameter count.
-    pub fn n_params(&self) -> usize {
-        self.wx.len() + self.wh.len() + self.b.len()
+    fn backward_step(
+        wh: &Matrix,
+        cache: &Cache,
+        t: usize,
+        dh_next: &mut [f64],
+        dc_next: &mut [f64],
+        dz: &mut [f64],
+        _dzh: &mut [f64],
+    ) {
+        let h = wh.rows;
+        let gates = cache.gates.row(t);
+        let cells = &cache.extra;
+        for j in 0..h {
+            let dh = dh_next[j];
+            let i = gates[j];
+            let f = gates[h + j];
+            let gg = gates[2 * h + j];
+            let o = gates[3 * h + j];
+            let tc = cells[(t, j)].tanh();
+            let d_o = dh * tc;
+            let dc = dh * o * (1.0 - tc * tc) + dc_next[j];
+            let d_i = dc * gg;
+            let d_g = dc * i;
+            let d_f = dc * if t == 0 { 0.0 } else { cells[(t - 1, j)] };
+            dc_next[j] = dc * f;
+            dz[j] = d_i * i * (1.0 - i);
+            dz[h + j] = d_f * f * (1.0 - f);
+            dz[2 * h + j] = d_g * (1.0 - gg * gg);
+            dz[3 * h + j] = d_o * o * (1.0 - o);
+        }
+        // dh_prev = dz Whᵀ.
+        for (k, dhv) in dh_next.iter_mut().enumerate() {
+            *dhv = dot(wh.row(k), dz);
+        }
     }
 }
 
-/// A stack of LSTM layers (the paper uses 2).
-#[derive(Debug, Clone)]
-pub struct Lstm {
-    layers: Vec<LstmLayer>,
+impl LstmLayer {
+    /// Orthogonally-initialised layer (RND target networks).
+    pub fn new_orthogonal(in_dim: usize, hidden: usize, gain: f64, rng: &mut StdRng) -> Self {
+        let wx = Tensor::from_matrix(init::orthogonal(rng, in_dim, 4 * hidden, gain));
+        let wh = Tensor::from_matrix(init::orthogonal(rng, hidden, 4 * hidden, gain));
+        Self::from_params(wx, wh, Tensor::zeros(1, 4 * hidden))
+    }
 }
 
 impl Lstm {
-    /// Stack `n_layers` LSTM layers; the first maps `in_dim → hidden`, the
-    /// rest `hidden → hidden`.
-    pub fn new(in_dim: usize, hidden: usize, n_layers: usize, rng: &mut StdRng) -> Self {
-        assert!(n_layers >= 1);
-        let mut layers = Vec::with_capacity(n_layers);
-        layers.push(LstmLayer::new(in_dim, hidden, rng));
-        for _ in 1..n_layers {
-            layers.push(LstmLayer::new(hidden, hidden, rng));
-        }
-        Lstm { layers }
-    }
-
     /// Orthogonally-initialised stack (RND target network).
     pub fn new_orthogonal(
         in_dim: usize,
@@ -303,133 +120,13 @@ impl Lstm {
         gain: f64,
         rng: &mut StdRng,
     ) -> Self {
-        assert!(n_layers >= 1);
-        let mut layers = Vec::with_capacity(n_layers);
-        layers.push(LstmLayer::new_orthogonal(in_dim, hidden, gain, rng));
-        for _ in 1..n_layers {
-            layers.push(LstmLayer::new_orthogonal(hidden, hidden, gain, rng));
-        }
-        Lstm { layers }
-    }
-
-    /// Hidden size of the final layer.
-    pub fn hidden(&self) -> usize {
-        self.layers.last().unwrap().hidden()
-    }
-
-    /// Borrow the layer stack (read-only), e.g. for the unfused reference
-    /// implementation in [`crate::reference`].
-    pub fn layers(&self) -> &[LstmLayer] {
-        &self.layers
-    }
-
-    /// Forward through the stack (`T × in_dim` → `T × hidden`).
-    pub fn forward(&mut self, x: &Matrix) -> Matrix {
-        let mut ws = NnWorkspace::new();
-        self.forward_ws(x, &mut ws)
-    }
-
-    /// [`Lstm::forward`] drawing scratch from a shared workspace.
-    pub fn forward_ws(&mut self, x: &Matrix, ws: &mut NnWorkspace) -> Matrix {
-        let mut h: Option<Matrix> = None;
-        for layer in &mut self.layers {
-            let out = {
-                let input = h.as_ref().unwrap_or(x);
-                layer.forward_ws(input, ws)
-            };
-            if let Some(prev) = h.take() {
-                ws.give_matrix(prev);
-            }
-            h = Some(out);
-        }
-        h.expect("at least one layer")
-    }
-
-    /// Inference-only forward.
-    pub fn infer(&self, x: &Matrix) -> Matrix {
-        let mut ws = NnWorkspace::new();
-        self.infer_batch(x, 1, None, None, &mut ws)
-    }
-
-    /// Batched inference over a time-major `(T·batch) × in_dim` packed input
-    /// (row `t·batch + lane` is timestep `t` of `lane`). `init` optionally
-    /// resumes each lane from per-layer [`LayerState`]s (outer index = lane,
-    /// inner = layer); `states_out`, when present, is filled with each lane's
-    /// final per-layer states so callers can snapshot and later resume.
-    pub fn infer_batch(
-        &self,
-        x: &Matrix,
-        batch: usize,
-        init: Option<&[&[LayerState]]>,
-        mut states_out: Option<&mut Vec<Vec<LayerState>>>,
-        ws: &mut NnWorkspace,
-    ) -> Matrix {
-        let n_layers = self.layers.len();
-        if let Some(init) = init {
-            assert_eq!(init.len(), batch, "one init lane per batch row");
-            for lane in init {
-                assert_eq!(lane.len(), n_layers, "one init state per layer");
-            }
-        }
-        if let Some(states) = states_out.as_deref_mut() {
-            states.clear();
-            states.resize_with(batch, || Vec::with_capacity(n_layers));
-        }
-        let mut h: Option<Matrix> = None;
-        for (li, layer) in self.layers.iter().enumerate() {
-            let init_states: Option<Vec<&LayerState>> =
-                init.map(|lanes| lanes.iter().map(|lane| &lane[li]).collect());
-            let mut layer_states: Option<Vec<LayerState>> =
-                if states_out.is_some() { Some(Vec::with_capacity(batch)) } else { None };
-            let out = {
-                let input = h.as_ref().unwrap_or(x);
-                layer.run(input, batch, init_states.as_deref(), false, layer_states.as_mut(), ws).0
-            };
-            if let Some(prev) = h.take() {
-                ws.give_matrix(prev);
-            }
-            h = Some(out);
-            if let (Some(acc), Some(ls)) = (states_out.as_deref_mut(), layer_states) {
-                for (lane, st) in acc.iter_mut().zip(ls) {
-                    lane.push(st);
-                }
-            }
-        }
-        h.expect("at least one layer")
-    }
-
-    /// Backward through the stack.
-    pub fn backward(&mut self, d_out: &Matrix) -> Matrix {
-        let mut ws = NnWorkspace::new();
-        self.backward_ws(d_out, &mut ws)
-    }
-
-    /// [`Lstm::backward`] drawing scratch from a shared workspace.
-    pub fn backward_ws(&mut self, d_out: &Matrix, ws: &mut NnWorkspace) -> Matrix {
-        let mut d: Option<Matrix> = None;
-        for layer in self.layers.iter_mut().rev() {
-            let grad = {
-                let upstream = d.as_ref().unwrap_or(d_out);
-                layer.backward_ws(upstream, ws)
-            };
-            if let Some(prev) = d.take() {
-                ws.give_matrix(prev);
-            }
-            d = Some(grad);
-        }
-        d.expect("at least one layer")
-    }
-
-    /// All trainable parameters (stable order).
-    pub fn parameters(&mut self) -> Vec<&mut Tensor> {
-        self.layers.iter_mut().flat_map(LstmLayer::parameters).collect()
-    }
-
-    /// Parameter count.
-    pub fn n_params(&self) -> usize {
-        self.layers.iter().map(LstmLayer::n_params).sum()
+        Self::build(in_dim, hidden, n_layers, |d| LstmLayer::new_orthogonal(d, hidden, gain, rng))
     }
 }
+
+// The tests below resume and batch through these.
+#[cfg(test)]
+use crate::workspace::{LayerState, NnWorkspace};
 
 #[cfg(test)]
 #[allow(clippy::needless_range_loop)] // index-driven perturbation loops

@@ -1,301 +1,67 @@
-//! Vanilla tanh RNN (the FASTFTᴿ ablation encoder of Fig. 8).
-//!
-//! Fused like the LSTM/GRU: `Z = b ⊕ X Wx` is hoisted out of the time loop
-//! as one GEMM, each step adds a single recurrent GEMM plus the tanh, and
-//! scratch comes from a pooled [`NnWorkspace`]. Batched time-major lanes and
-//! [`LayerState`] resume are supported for the prefix-cached scoring path.
+//! Vanilla tanh RNN (the FASTFTᴿ ablation encoder of Fig. 8):
+//! `h_t = tanh(x_t Wx + h_{t-1} Wh + b)`, the gate math of [`RnnCell`] on
+//! the shared [`crate::recurrent`] layer and stack.
 
 use crate::init;
 use crate::matrix::{Matrix, Tensor};
-use crate::workspace::{LayerState, NnWorkspace};
+use crate::recurrent::{dot, Cache, Cell, Recurrent, RecurrentLayer};
 use fastft_tabular::rngx::StdRng;
 
-/// `h_t = tanh(x_t Wx + h_{t-1} Wh + b)`, stacked `n_layers` deep.
+/// Tanh RNN step (one gate block: the hidden state itself).
 #[derive(Debug, Clone)]
-pub struct Rnn {
-    layers: Vec<RnnLayer>,
-}
+pub struct RnnCell;
 
 /// One tanh RNN layer.
-#[derive(Debug, Clone)]
-pub struct RnnLayer {
-    /// Input-to-hidden weights (`in_dim × hidden`).
-    pub wx: Tensor,
-    /// Hidden-to-hidden weights (`hidden × hidden`).
-    pub wh: Tensor,
-    /// Bias (`1 × hidden`).
-    pub b: Tensor,
-    hidden: usize,
-    cache: Option<Cache>,
-}
+pub type RnnLayer = RecurrentLayer<RnnCell>;
 
-#[derive(Debug, Clone)]
-struct Cache {
-    x: Matrix,
-    hiddens: Matrix, // T × H
-}
+/// A stack of tanh RNN layers.
+pub type Rnn = Recurrent<RnnCell>;
 
-impl RnnLayer {
-    fn new(in_dim: usize, hidden: usize, rng: &mut StdRng) -> Self {
-        RnnLayer {
-            wx: Tensor::from_matrix(init::xavier(rng, in_dim, hidden)),
-            // Orthogonal recurrent weights keep vanilla RNNs stable.
-            wh: Tensor::from_matrix(init::orthogonal(rng, hidden, hidden, 1.0)),
-            b: Tensor::zeros(1, hidden),
-            hidden,
-            cache: None,
-        }
+impl Cell for RnnCell {
+    const GATES: usize = 1;
+    const HAS_C: bool = false;
+    const SEPARATE_ZH: bool = false;
+    // The hidden state (the activated gate block is the same values).
+    const ACTIVATIONS: usize = 1;
+
+    /// Xavier input weights; orthogonal recurrent weights keep vanilla RNNs
+    /// stable.
+    fn init(in_dim: usize, hidden: usize, rng: &mut StdRng) -> [Tensor; 3] {
+        let wx = Tensor::from_matrix(init::xavier(rng, in_dim, hidden));
+        let wh = Tensor::from_matrix(init::orthogonal(rng, hidden, hidden, 1.0));
+        [wx, wh, Tensor::zeros(1, hidden)]
     }
 
-    /// Hidden size.
-    pub fn hidden(&self) -> usize {
-        self.hidden
+    fn forward_step(wh: &Matrix, z: &mut [f64], _zh: &mut [f64], hs: &mut [f64], _cs: &mut [f64]) {
+        wh.addmm_into(hs, hs.len() / wh.rows, z);
+        for zv in z.iter_mut() {
+            *zv = zv.tanh();
+        }
+        hs.copy_from_slice(z);
     }
 
-    fn run(
-        &self,
-        x: &Matrix,
-        batch: usize,
-        init: Option<&[&LayerState]>,
-        keep: bool,
-        states_out: Option<&mut Vec<LayerState>>,
-        ws: &mut NnWorkspace,
-    ) -> (Matrix, Option<Cache>) {
-        let h = self.hidden;
-        let rows = x.rows;
-        assert!(
-            batch >= 1 && rows.is_multiple_of(batch),
-            "rows {rows} not a multiple of batch {batch}"
-        );
-        let t_len = rows / batch;
-        if keep {
-            assert!(batch == 1 && init.is_none(), "training path is batch-of-one from t = 0");
+    fn backward_step(
+        wh: &Matrix,
+        cache: &Cache,
+        t: usize,
+        dh_next: &mut [f64],
+        _dc: &mut [f64],
+        dz: &mut [f64],
+        _dzh: &mut [f64],
+    ) {
+        let h_t = cache.hiddens.row(t);
+        for (j, dzv) in dz.iter_mut().enumerate() {
+            *dzv = dh_next[j] * (1.0 - h_t[j] * h_t[j]);
         }
-        // Input projection hoisted over the whole sequence: Z = b ⊕ X Wx.
-        let mut out = ws.take_matrix(rows, h);
-        for r in 0..rows {
-            out.row_mut(r).copy_from_slice(&self.b.value.data);
+        for (k, dhv) in dh_next.iter_mut().enumerate() {
+            *dhv = dot(wh.row(k), dz);
         }
-        self.wx.value.addmm_into(&x.data, rows, &mut out.data);
-        let mut h_prev = ws.take(batch * h);
-        if let Some(states) = init {
-            assert_eq!(states.len(), batch, "one init state per lane");
-            for (bi, st) in states.iter().enumerate() {
-                h_prev[bi * h..(bi + 1) * h].copy_from_slice(&st.h);
-            }
-        }
-        for t in 0..t_len {
-            let z_rows = &mut out.data[t * batch * h..(t + 1) * batch * h];
-            self.wh.value.addmm_into(&h_prev, batch, z_rows);
-            for zv in z_rows.iter_mut() {
-                *zv = zv.tanh();
-            }
-            h_prev.copy_from_slice(z_rows);
-        }
-        if let Some(states) = states_out {
-            for bi in 0..batch {
-                states.push(LayerState { h: h_prev[bi * h..(bi + 1) * h].to_vec(), c: Vec::new() });
-            }
-        }
-        ws.give(h_prev);
-        // Pool-backed snapshots keep repeated train steps allocation-free.
-        let cache = keep.then(|| Cache { x: ws.take_copy(x), hiddens: ws.take_copy(&out) });
-        (out, cache)
-    }
-
-    fn forward(&mut self, x: &Matrix, ws: &mut NnWorkspace) -> Matrix {
-        let (out, cache) = self.run(x, 1, None, true, None, ws);
-        self.cache = cache;
-        out
-    }
-
-    fn backward(&mut self, d_out: &Matrix, ws: &mut NnWorkspace) -> Matrix {
-        let Cache { x, hiddens } = self.cache.take().expect("forward before backward");
-        let t_len = x.rows;
-        let h = self.hidden;
-        let mut dz_all = ws.take_matrix(t_len, h);
-        let mut dh_next = ws.take(h);
-        for t in (0..t_len).rev() {
-            let h_t = hiddens.row(t);
-            let dz = &mut dz_all.data[t * h..(t + 1) * h];
-            for j in 0..h {
-                dz[j] = (d_out[(t, j)] + dh_next[j]) * (1.0 - h_t[j] * h_t[j]);
-            }
-            let dz = &dz_all.data[t * h..(t + 1) * h];
-            for (k, dhv) in dh_next.iter_mut().enumerate() {
-                *dhv = self.wh.value.row(k).iter().zip(dz).map(|(a, b)| a * b).sum();
-            }
-        }
-        // Hoisted parameter gradients: dWx += Xᵀ dZ ; dWh += H[..T-1]ᵀ dZ[1..] ;
-        // db += Σ_t dz_t ; dX = dZ Wxᵀ.
-        x.add_matmul_tn(&dz_all, &mut self.wx.grad);
-        for t in 1..t_len {
-            let h_row = hiddens.row(t - 1);
-            let dz = dz_all.row(t);
-            for (k, &hv) in h_row.iter().enumerate() {
-                let g_row = &mut self.wh.grad.data[k * h..(k + 1) * h];
-                for (gv, &dv) in g_row.iter_mut().zip(dz) {
-                    *gv += hv * dv;
-                }
-            }
-        }
-        for t in 0..t_len {
-            for (gv, &dv) in self.b.grad.data.iter_mut().zip(dz_all.row(t)) {
-                *gv += dv;
-            }
-        }
-        let in_dim = x.cols;
-        let mut dx = ws.take_matrix(t_len, in_dim);
-        for t in 0..t_len {
-            let dz = dz_all.row(t);
-            let dx_row = &mut dx.data[t * in_dim..(t + 1) * in_dim];
-            for (k, dxv) in dx_row.iter_mut().enumerate() {
-                *dxv = self.wx.value.row(k).iter().zip(dz).map(|(a, b)| a * b).sum();
-            }
-        }
-        ws.give(dh_next);
-        ws.give_matrix(dz_all);
-        ws.give_matrix(x);
-        ws.give_matrix(hiddens);
-        dx
-    }
-
-    fn parameters(&mut self) -> Vec<&mut Tensor> {
-        vec![&mut self.wx, &mut self.wh, &mut self.b]
-    }
-
-    fn n_params(&self) -> usize {
-        self.wx.len() + self.wh.len() + self.b.len()
     }
 }
 
-impl Rnn {
-    /// Stack of tanh RNN layers.
-    pub fn new(in_dim: usize, hidden: usize, n_layers: usize, rng: &mut StdRng) -> Self {
-        assert!(n_layers >= 1);
-        let mut layers = Vec::with_capacity(n_layers);
-        layers.push(RnnLayer::new(in_dim, hidden, rng));
-        for _ in 1..n_layers {
-            layers.push(RnnLayer::new(hidden, hidden, rng));
-        }
-        Rnn { layers }
-    }
-
-    /// Hidden size of the final layer.
-    pub fn hidden(&self) -> usize {
-        self.layers.last().unwrap().hidden
-    }
-
-    /// Borrow the layer stack (read-only), e.g. for the unfused reference
-    /// implementation in [`crate::reference`].
-    pub fn layers(&self) -> &[RnnLayer] {
-        &self.layers
-    }
-
-    /// Forward through the stack.
-    pub fn forward(&mut self, x: &Matrix) -> Matrix {
-        let mut ws = NnWorkspace::new();
-        self.forward_ws(x, &mut ws)
-    }
-
-    /// [`Rnn::forward`] drawing scratch from a shared workspace.
-    pub fn forward_ws(&mut self, x: &Matrix, ws: &mut NnWorkspace) -> Matrix {
-        let mut h: Option<Matrix> = None;
-        for layer in &mut self.layers {
-            let out = {
-                let input = h.as_ref().unwrap_or(x);
-                layer.forward(input, ws)
-            };
-            if let Some(prev) = h.take() {
-                ws.give_matrix(prev);
-            }
-            h = Some(out);
-        }
-        h.expect("at least one layer")
-    }
-
-    /// Inference-only forward.
-    pub fn infer(&self, x: &Matrix) -> Matrix {
-        let mut ws = NnWorkspace::new();
-        self.infer_batch(x, 1, None, None, &mut ws)
-    }
-
-    /// Batched inference over time-major packed lanes with optional state
-    /// resume; same conventions as [`crate::lstm::Lstm::infer_batch`].
-    pub fn infer_batch(
-        &self,
-        x: &Matrix,
-        batch: usize,
-        init: Option<&[&[LayerState]]>,
-        mut states_out: Option<&mut Vec<Vec<LayerState>>>,
-        ws: &mut NnWorkspace,
-    ) -> Matrix {
-        let n_layers = self.layers.len();
-        if let Some(init) = init {
-            assert_eq!(init.len(), batch, "one init lane per batch row");
-            for lane in init {
-                assert_eq!(lane.len(), n_layers, "one init state per layer");
-            }
-        }
-        if let Some(states) = states_out.as_deref_mut() {
-            states.clear();
-            states.resize_with(batch, || Vec::with_capacity(n_layers));
-        }
-        let mut h: Option<Matrix> = None;
-        for (li, layer) in self.layers.iter().enumerate() {
-            let init_states: Option<Vec<&LayerState>> =
-                init.map(|lanes| lanes.iter().map(|lane| &lane[li]).collect());
-            let mut layer_states: Option<Vec<LayerState>> =
-                if states_out.is_some() { Some(Vec::with_capacity(batch)) } else { None };
-            let out = {
-                let input = h.as_ref().unwrap_or(x);
-                layer.run(input, batch, init_states.as_deref(), false, layer_states.as_mut(), ws).0
-            };
-            if let Some(prev) = h.take() {
-                ws.give_matrix(prev);
-            }
-            h = Some(out);
-            if let (Some(acc), Some(ls)) = (states_out.as_deref_mut(), layer_states) {
-                for (lane, st) in acc.iter_mut().zip(ls) {
-                    lane.push(st);
-                }
-            }
-        }
-        h.expect("at least one layer")
-    }
-
-    /// Backward through the stack.
-    pub fn backward(&mut self, d_out: &Matrix) -> Matrix {
-        let mut ws = NnWorkspace::new();
-        self.backward_ws(d_out, &mut ws)
-    }
-
-    /// [`Rnn::backward`] drawing scratch from a shared workspace.
-    pub fn backward_ws(&mut self, d_out: &Matrix, ws: &mut NnWorkspace) -> Matrix {
-        let mut d: Option<Matrix> = None;
-        for layer in self.layers.iter_mut().rev() {
-            let grad = {
-                let upstream = d.as_ref().unwrap_or(d_out);
-                layer.backward(upstream, ws)
-            };
-            if let Some(prev) = d.take() {
-                ws.give_matrix(prev);
-            }
-            d = Some(grad);
-        }
-        d.expect("at least one layer")
-    }
-
-    /// Trainable parameters (stable order).
-    pub fn parameters(&mut self) -> Vec<&mut Tensor> {
-        self.layers.iter_mut().flat_map(RnnLayer::parameters).collect()
-    }
-
-    /// Parameter count.
-    pub fn n_params(&self) -> usize {
-        self.layers.iter().map(RnnLayer::n_params).sum()
-    }
-}
+// The tests below resume and batch through these.
+#[cfg(test)]
+use crate::workspace::{LayerState, NnWorkspace};
 
 #[cfg(test)]
 #[allow(clippy::needless_range_loop)] // index-driven perturbation loops

@@ -24,90 +24,41 @@ use std::collections::BTreeMap;
 use crate::activation::Activation;
 use crate::dense::Dense;
 use crate::embedding::Embedding;
-use crate::gru::Gru;
+pub use crate::encoder::EncoderKind;
+use crate::encoder::{with_stack, AnyRecurrent};
 use crate::init;
 use crate::lstm::Lstm;
 use crate::matrix::{Matrix, Tensor};
 use crate::optim::Adam;
-use crate::rnn::Rnn;
 use crate::transformer::{add_positional_encoding, TransformerBlock};
 use crate::workspace::{LayerState, NnWorkspace};
 use fastft_runtime::Runtime;
 
-/// Which sequence encoder backs the regressor.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum EncoderKind {
-    /// Stacked LSTM (paper default: 2 layers).
-    Lstm {
-        /// Number of stacked layers.
-        layers: usize,
-    },
-    /// Stacked vanilla RNN (FASTFTᴿ).
-    Rnn {
-        /// Number of stacked layers.
-        layers: usize,
-    },
-    /// Stacked GRU (extended-ablation encoder; not in the paper's trio).
-    Gru {
-        /// Number of stacked layers.
-        layers: usize,
-    },
-    /// Transformer encoder blocks (FASTFTᵀ).
-    Transformer {
-        /// Attention heads per block.
-        heads: usize,
-        /// Number of blocks.
-        blocks: usize,
-    },
-}
-
-impl EncoderKind {
-    /// Label used in the Fig. 8 harness.
-    pub fn label(self) -> &'static str {
-        match self {
-            EncoderKind::Lstm { .. } => "LSTM",
-            EncoderKind::Rnn { .. } => "RNN",
-            EncoderKind::Gru { .. } => "GRU",
-            EncoderKind::Transformer { .. } => "Transformer",
-        }
-    }
-}
-
-impl fastft_tabular::persist::Persist for EncoderKind {
-    // Fixed-width layout (tag + two operand slots) so every variant
-    // occupies the same shape on disk.
-    fn persist(&self, w: &mut fastft_tabular::persist::Writer) {
-        let (tag, a, b) = match *self {
-            EncoderKind::Lstm { layers } => (0u8, layers, 0),
-            EncoderKind::Rnn { layers } => (1, layers, 0),
-            EncoderKind::Gru { layers } => (2, layers, 0),
-            EncoderKind::Transformer { heads, blocks } => (3, heads, blocks),
-        };
-        w.u8(tag);
-        w.usize(a);
-        w.usize(b);
-    }
-
-    fn restore(
-        r: &mut fastft_tabular::persist::Reader,
-    ) -> fastft_tabular::persist::PersistResult<Self> {
-        let (tag, a, b) = (r.u8()?, r.usize()?, r.usize()?);
-        Ok(match tag {
-            0 => EncoderKind::Lstm { layers: a },
-            1 => EncoderKind::Rnn { layers: a },
-            2 => EncoderKind::Gru { layers: a },
-            3 => EncoderKind::Transformer { heads: a, blocks: b },
-            t => return Err(format!("unknown encoder tag {t}")),
-        })
-    }
-}
-
+/// The regressor's encoder: any recurrent stack, or Transformer blocks.
 #[derive(Debug, Clone)]
 enum Encoder {
-    Lstm(Lstm),
-    Rnn(Rnn),
-    Gru(Gru),
+    Recurrent(AnyRecurrent),
     Transformer(Vec<TransformerBlock>),
+}
+
+impl Encoder {
+    /// Pool a `T × width` encoding into one vector: the last hidden state of
+    /// a recurrent encoder, the mean over positions of a Transformer.
+    fn pool(&self, h: &Matrix) -> Vec<f64> {
+        match self {
+            Encoder::Recurrent(_) => h.row(h.rows - 1).to_vec(),
+            Encoder::Transformer(_) => {
+                let mut v = vec![0.0; h.cols];
+                for r in 0..h.rows {
+                    for (a, &b) in v.iter_mut().zip(h.row(r)) {
+                        *a += b;
+                    }
+                }
+                let inv = 1.0 / h.rows as f64;
+                v.iter().map(|a| a * inv).collect()
+            }
+        }
+    }
 }
 
 /// Snapshot of a recurrent encoder after consuming a token prefix: one
@@ -140,7 +91,6 @@ pub struct SequenceRegressor {
     head: Vec<Dense>,
     opt: Adam,
     kind: EncoderKind,
-    cache_pool_len: usize,
     /// Pooled scratch for the inference paths, which take `&self`.
     ws: RefCell<NnWorkspace>,
 }
@@ -155,9 +105,7 @@ fn collect_params<'a>(
 ) -> Vec<&'a mut Tensor> {
     let mut params = emb.parameters();
     match enc {
-        Encoder::Lstm(l) => params.extend(l.parameters()),
-        Encoder::Rnn(r) => params.extend(r.parameters()),
-        Encoder::Gru(g) => params.extend(g.parameters()),
+        Encoder::Recurrent(r) => params.extend(with_stack!(r, s => s.parameters())),
         Encoder::Transformer(blocks) => {
             for b in blocks.iter_mut() {
                 params.extend(b.parameters());
@@ -189,20 +137,12 @@ impl SequenceRegressor {
         let mut rng = init::rng(seed);
         let emb = Embedding::new(vocab, emb_dim, &mut rng);
         let (enc, enc_out) = match kind {
-            EncoderKind::Lstm { layers } => {
-                (Encoder::Lstm(Lstm::new(emb_dim, hidden, layers, &mut rng)), hidden)
-            }
-            EncoderKind::Rnn { layers } => {
-                (Encoder::Rnn(Rnn::new(emb_dim, hidden, layers, &mut rng)), hidden)
-            }
-            EncoderKind::Gru { layers } => {
-                (Encoder::Gru(Gru::new(emb_dim, hidden, layers, &mut rng)), hidden)
-            }
             EncoderKind::Transformer { heads, blocks } => {
                 let bs =
                     (0..blocks).map(|_| TransformerBlock::new(emb_dim, heads, &mut rng)).collect();
                 (Encoder::Transformer(bs), emb_dim)
             }
+            _ => (Encoder::Recurrent(AnyRecurrent::new(kind, emb_dim, hidden, &mut rng)), hidden),
         };
         let mut head = Vec::with_capacity(head_dims.len());
         let mut prev = enc_out;
@@ -217,7 +157,6 @@ impl SequenceRegressor {
             head,
             opt: Adam::new(lr),
             kind,
-            cache_pool_len: 0,
             ws: RefCell::new(NnWorkspace::new()),
         }
     }
@@ -236,7 +175,8 @@ impl SequenceRegressor {
     ) -> Self {
         let mut rng = init::rng(seed);
         let emb = Embedding::new(vocab, emb_dim, &mut rng);
-        let enc = Encoder::Lstm(Lstm::new_orthogonal(emb_dim, hidden, layers, gain, &mut rng));
+        let enc = Lstm::new_orthogonal(emb_dim, hidden, layers, gain, &mut rng);
+        let enc = Encoder::Recurrent(AnyRecurrent::Lstm(enc));
         let mut head = Vec::with_capacity(head_dims.len());
         let mut prev = hidden;
         for (i, &d) in head_dims.iter().enumerate() {
@@ -250,7 +190,6 @@ impl SequenceRegressor {
             head,
             opt: Adam::new(0.0),
             kind: EncoderKind::Lstm { layers },
-            cache_pool_len: 0,
             ws: RefCell::new(NnWorkspace::new()),
         }
     }
@@ -292,44 +231,6 @@ impl SequenceRegressor {
         crate::snapshot::params_finite(&params)
     }
 
-    fn encode_infer(&self, tokens: &[usize]) -> Matrix {
-        assert!(!tokens.is_empty(), "empty token sequence");
-        let mut x = self.emb.infer(tokens);
-        match &self.enc {
-            Encoder::Lstm(l) => l.infer(&x),
-            Encoder::Rnn(r) => r.infer(&x),
-            Encoder::Gru(g) => g.infer(&x),
-            Encoder::Transformer(blocks) => {
-                add_positional_encoding(&mut x);
-                let mut h = x;
-                for b in blocks {
-                    h = b.infer(&h);
-                }
-                h
-            }
-        }
-    }
-
-    fn pool(kind: EncoderKind, h: &Matrix) -> Vec<f64> {
-        match kind {
-            // Recurrent encoders: last hidden state.
-            EncoderKind::Lstm { .. } | EncoderKind::Rnn { .. } | EncoderKind::Gru { .. } => {
-                h.row(h.rows - 1).to_vec()
-            }
-            // Transformer: mean over positions.
-            EncoderKind::Transformer { .. } => {
-                let mut v = vec![0.0; h.cols];
-                for r in 0..h.rows {
-                    for (a, &b) in v.iter_mut().zip(h.row(r)) {
-                        *a += b;
-                    }
-                }
-                let inv = 1.0 / h.rows as f64;
-                v.iter().map(|a| a * inv).collect()
-            }
-        }
-    }
-
     /// Run the dense head on a pooled encoder state, writing into `out`.
     /// Plain k-ascending accumulation so every scoring path sums in the same
     /// order.
@@ -364,25 +265,25 @@ impl SequenceRegressor {
     pub fn predict_into(&self, tokens: &[usize], out: &mut [f64]) {
         assert!(!tokens.is_empty(), "empty token sequence");
         assert_eq!(out.len(), self.out_dim(), "output slice dim mismatch");
-        if !self.supports_incremental() {
-            let h = self.encode_infer(tokens);
-            let pooled = Self::pool(self.kind, &h);
-            let ws = &mut *self.ws.borrow_mut();
-            self.head_infer_into(&pooled, out, ws);
-            return;
-        }
         let ws = &mut *self.ws.borrow_mut();
-        let mut x = ws.take_matrix(tokens.len(), self.emb.dim());
-        self.emb.infer_into(tokens, &mut x);
-        let h = match &self.enc {
-            Encoder::Lstm(l) => l.infer_batch(&x, 1, None, None, ws),
-            Encoder::Rnn(r) => r.infer_batch(&x, 1, None, None, ws),
-            Encoder::Gru(g) => g.infer_batch(&x, 1, None, None, ws),
-            Encoder::Transformer(_) => unreachable!("checked supports_incremental"),
-        };
-        ws.give_matrix(x);
-        self.head_infer_into(h.row(h.rows - 1), out, ws);
-        ws.give_matrix(h);
+        match &self.enc {
+            Encoder::Recurrent(r) => {
+                let mut x = ws.take_matrix(tokens.len(), self.emb.dim());
+                self.emb.infer_into(tokens, &mut x);
+                let h = with_stack!(r, s => s.infer_batch(&x, 1, None, None, ws));
+                ws.give_matrix(x);
+                self.head_infer_into(h.row(h.rows - 1), out, ws);
+                ws.give_matrix(h);
+            }
+            Encoder::Transformer(blocks) => {
+                let mut h = self.emb.infer(tokens);
+                add_positional_encoding(&mut h);
+                for b in blocks {
+                    h = b.infer(&h);
+                }
+                self.head_infer_into(&self.enc.pool(&h), out, ws);
+            }
+        }
     }
 
     /// Score many sequences at once. Sequences are bucketed by length and
@@ -390,14 +291,11 @@ impl SequenceRegressor {
     /// GEMMs amortise over all lanes. Every output is bitwise-identical to
     /// calling [`SequenceRegressor::predict`] per sequence.
     pub fn predict_batch(&self, seqs: &[&[usize]]) -> Vec<Vec<f64>> {
-        let k = self.out_dim();
-        let mut out = vec![vec![0.0; k]; seqs.len()];
-        if !self.supports_incremental() {
-            for (seq, o) in seqs.iter().zip(out.iter_mut()) {
-                self.predict_into(seq, o);
-            }
-            return out;
-        }
+        let Encoder::Recurrent(enc) = &self.enc else {
+            // A Transformer re-attends over each whole sequence.
+            return seqs.iter().map(|s| self.predict(s)).collect();
+        };
+        let mut out = vec![vec![0.0; self.out_dim()]; seqs.len()];
         let mut buckets: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
         for (i, s) in seqs.iter().enumerate() {
             assert!(!s.is_empty(), "empty token sequence");
@@ -409,12 +307,7 @@ impl SequenceRegressor {
             let bucket: Vec<&[usize]> = idxs.iter().map(|&i| seqs[i]).collect();
             let mut x = ws.take_matrix(t_len * lanes, self.emb.dim());
             self.emb.infer_batch_into(&bucket, &mut x);
-            let h = match &self.enc {
-                Encoder::Lstm(l) => l.infer_batch(&x, lanes, None, None, ws),
-                Encoder::Rnn(r) => r.infer_batch(&x, lanes, None, None, ws),
-                Encoder::Gru(g) => g.infer_batch(&x, lanes, None, None, ws),
-                Encoder::Transformer(_) => unreachable!("checked supports_incremental"),
-            };
+            let h = with_stack!(enc, s => s.infer_batch(&x, lanes, None, None, ws));
             ws.give_matrix(x);
             for (bi, &i) in idxs.iter().enumerate() {
                 self.head_infer_into(h.row((t_len - 1) * lanes + bi), &mut out[i], ws);
@@ -433,19 +326,16 @@ impl SequenceRegressor {
     /// Panics for Transformer encoders (see
     /// [`SequenceRegressor::supports_incremental`]) or an empty suffix.
     pub fn encode_state(&self, prefix: Option<&EncoderState>, suffix: &[usize]) -> EncoderState {
-        assert!(self.supports_incremental(), "incremental encoding needs a recurrent encoder");
+        let Encoder::Recurrent(enc) = &self.enc else {
+            panic!("incremental encoding needs a recurrent encoder");
+        };
         assert!(!suffix.is_empty(), "empty suffix");
         let ws = &mut *self.ws.borrow_mut();
         let mut x = ws.take_matrix(suffix.len(), self.emb.dim());
         self.emb.infer_into(suffix, &mut x);
         let init: Option<Vec<&[LayerState]>> = prefix.map(|p| vec![p.layers.as_slice()]);
         let mut states: Vec<Vec<LayerState>> = Vec::new();
-        let h = match &self.enc {
-            Encoder::Lstm(l) => l.infer_batch(&x, 1, init.as_deref(), Some(&mut states), ws),
-            Encoder::Rnn(r) => r.infer_batch(&x, 1, init.as_deref(), Some(&mut states), ws),
-            Encoder::Gru(g) => g.infer_batch(&x, 1, init.as_deref(), Some(&mut states), ws),
-            Encoder::Transformer(_) => unreachable!("checked supports_incremental"),
-        };
+        let h = with_stack!(enc, s => s.infer_batch(&x, 1, init.as_deref(), Some(&mut states), ws));
         ws.give_matrix(x);
         ws.give_matrix(h);
         EncoderState {
@@ -471,9 +361,7 @@ impl SequenceRegressor {
         // Forward with caches.
         let mut x = self.emb.forward(tokens);
         let h = match &mut self.enc {
-            Encoder::Lstm(l) => l.forward_ws(&x, ws),
-            Encoder::Rnn(r) => r.forward_ws(&x, ws),
-            Encoder::Gru(g) => g.forward_ws(&x, ws),
+            Encoder::Recurrent(r) => with_stack!(r, s => s.forward_ws(&x, ws)),
             Encoder::Transformer(blocks) => {
                 add_positional_encoding(&mut x);
                 let mut h = x.clone();
@@ -483,8 +371,8 @@ impl SequenceRegressor {
                 h
             }
         };
-        self.cache_pool_len = h.rows;
-        let pooled = Self::pool(self.kind, &h);
+        let t_len = h.rows;
+        let pooled = self.enc.pool(&h);
         ws.give_matrix(h);
         let mut y = Matrix::row_vector(pooled);
         for layer in &mut self.head {
@@ -500,29 +388,19 @@ impl SequenceRegressor {
             dy = layer.backward(&dy);
         }
         let d_pooled = dy; // 1 × enc_out
-        let t_len = self.cache_pool_len;
-        let dh = match self.kind {
-            EncoderKind::Lstm { .. } | EncoderKind::Rnn { .. } | EncoderKind::Gru { .. } => {
-                let mut dh = ws.take_matrix(t_len, d_pooled.cols);
+        let mut dh = ws.take_matrix(t_len, d_pooled.cols);
+        let dx = match &mut self.enc {
+            Encoder::Recurrent(r) => {
                 dh.row_mut(t_len - 1).copy_from_slice(d_pooled.row(0));
-                dh
+                with_stack!(r, s => s.backward_ws(&dh, ws))
             }
-            EncoderKind::Transformer { .. } => {
-                let mut dh = ws.take_matrix(t_len, d_pooled.cols);
+            Encoder::Transformer(blocks) => {
                 let inv = 1.0 / t_len as f64;
                 for r in 0..t_len {
                     for (d, &g) in dh.row_mut(r).iter_mut().zip(d_pooled.row(0)) {
                         *d = g * inv;
                     }
                 }
-                dh
-            }
-        };
-        let dx = match &mut self.enc {
-            Encoder::Lstm(l) => l.backward_ws(&dh, ws),
-            Encoder::Rnn(r) => r.backward_ws(&dh, ws),
-            Encoder::Gru(g) => g.backward_ws(&dh, ws),
-            Encoder::Transformer(blocks) => {
                 let mut d = dh.clone();
                 for b in blocks.iter_mut().rev() {
                     d = b.backward(&d);
@@ -589,9 +467,7 @@ impl SequenceRegressor {
     /// Total trainable parameter count (Fig. 11 memory accounting).
     pub fn n_params(&self) -> usize {
         let enc = match &self.enc {
-            Encoder::Lstm(l) => l.n_params(),
-            Encoder::Rnn(r) => r.n_params(),
-            Encoder::Gru(g) => g.n_params(),
+            Encoder::Recurrent(r) => with_stack!(r, s => s.n_params()),
             Encoder::Transformer(blocks) => blocks.iter().map(TransformerBlock::n_params).sum(),
         };
         self.emb.n_params() + enc + self.head.iter().map(Dense::n_params).sum::<usize>()
@@ -605,34 +481,8 @@ impl SequenceRegressor {
         let f = std::mem::size_of::<f64>();
         let emb_act = seq_len * emb_dim;
         let enc_act = match &self.enc {
-            // Per layer per step: gates 4H + cell H + hidden H.
-            Encoder::Lstm(l) => {
-                let h = l.hidden();
-                // layer count = params / per-layer params is awkward; derive
-                // from the parameter structure instead.
-                let per_layer_state = 6 * h;
-                let layers = match self.kind {
-                    EncoderKind::Lstm { layers } => layers,
-                    _ => 1,
-                };
-                layers * seq_len * per_layer_state
-            }
-            Encoder::Rnn(r) => {
-                let h = r.hidden();
-                let layers = match self.kind {
-                    EncoderKind::Rnn { layers } => layers,
-                    _ => 1,
-                };
-                layers * seq_len * h
-            }
-            // Per layer per step: gates 3H + candidate linear H + hidden H.
-            Encoder::Gru(g) => {
-                let h = g.hidden();
-                let layers = match self.kind {
-                    EncoderKind::Gru { layers } => layers,
-                    _ => 1,
-                };
-                layers * seq_len * 5 * h
+            Encoder::Recurrent(r) => {
+                self.kind.depth() * seq_len * with_stack!(r, s => s.token_activations())
             }
             // Attention materialises T×T per head plus Q/K/V and FFN buffers.
             Encoder::Transformer(blocks) => blocks

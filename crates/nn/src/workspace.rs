@@ -22,8 +22,12 @@ impl NnWorkspace {
         NnWorkspace::default()
     }
 
-    /// Take a zeroed buffer of length `len`, reusing pooled capacity.
+    /// Take a zeroed buffer of length `len`, reusing pooled capacity. An
+    /// empty request leaves the pool alone.
     pub fn take(&mut self, len: usize) -> Vec<f64> {
+        if len == 0 {
+            return Vec::new();
+        }
         let mut v = self.pool.pop().unwrap_or_default();
         v.clear();
         v.resize(len, 0.0);

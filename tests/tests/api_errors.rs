@@ -1,9 +1,11 @@
 //! The redesigned error-returning API surface: every fallible entry point
-//! reports a typed [`FastFtError`] instead of panicking, and the validating
-//! builder is the supported construction path for custom configurations.
+//! reports a typed [`FastFtError`] instead of panicking, and
+//! `FastFtConfig::validate` checks custom configurations built with
+//! struct-update syntax.
 
 use fastft_core::{FastFt, FastFtConfig};
 use fastft_ml::Evaluator;
+use fastft_nn::EncoderKind;
 use fastft_tabular::{csvio, datagen, Column, Dataset, FastFtError, TaskType};
 use std::path::Path;
 
@@ -40,25 +42,26 @@ fn ragged_columns_are_invalid_data() {
 }
 
 #[test]
-fn builder_rejects_out_of_range_settings() {
-    let err = FastFtConfig::builder().alpha(250.0).build().unwrap_err();
+fn validate_rejects_out_of_range_settings() {
+    let err = FastFtConfig { alpha: 250.0, ..FastFtConfig::default() }.validate().unwrap_err();
     assert!(matches!(err, FastFtError::InvalidConfig(_)), "got {err:?}");
-    let err = FastFtConfig::builder().episodes(0).build().unwrap_err();
+    let err = FastFtConfig { episodes: 0, ..FastFtConfig::default() }.validate().unwrap_err();
     assert!(matches!(err, FastFtError::InvalidConfig(_)));
-    let err = FastFtConfig::builder().eps_start(0.01).eps_end(0.5).build().unwrap_err();
-    assert!(matches!(err, FastFtError::InvalidConfig(_)));
+    let cfg = FastFtConfig { eps_start: 0.01, eps_end: 0.5, ..FastFtConfig::default() };
+    assert!(matches!(cfg.validate().unwrap_err(), FastFtError::InvalidConfig(_)));
 }
 
 #[test]
-fn builder_produces_a_runnable_config() {
-    let cfg = FastFtConfig::builder()
-        .episodes(2)
-        .steps_per_episode(3)
-        .cold_start_episodes(1)
-        .evaluator(Evaluator { folds: 3, ..Evaluator::default() })
-        .threads(1)
-        .build()
-        .unwrap();
+fn struct_update_config_is_runnable() {
+    let cfg = FastFtConfig {
+        episodes: 2,
+        steps_per_episode: 3,
+        cold_start_episodes: 1,
+        evaluator: Evaluator { folds: 3, ..Evaluator::default() },
+        threads: 1,
+        ..FastFtConfig::default()
+    };
+    cfg.validate().unwrap();
     let spec = datagen::by_name("pima_indian").unwrap();
     let mut d = datagen::generate_capped(spec, 120, 0);
     d.sanitize();
@@ -85,8 +88,60 @@ fn fit_rejects_dataset_without_features() {
 
 #[test]
 fn errors_display_with_context() {
-    let err = FastFtConfig::builder().mi_bins(1).build().unwrap_err();
+    let err = FastFtConfig { mi_bins: 1, ..FastFtConfig::default() }.validate().unwrap_err();
     let msg = err.to_string();
     assert!(msg.contains("invalid config"), "{msg}");
     assert!(msg.contains("mi_bins"), "{msg}");
+}
+
+/// Encoder shapes the evaluation components cannot be built with: a
+/// recurrent stack without layers, or a Transformer whose head count is 0 or
+/// does not divide the model width of 32.
+fn unbuildable_encoders() -> [EncoderKind; 5] {
+    [
+        EncoderKind::Lstm { layers: 0 },
+        EncoderKind::Gru { layers: 0 },
+        EncoderKind::Rnn { layers: 0 },
+        EncoderKind::Transformer { heads: 0, blocks: 1 },
+        EncoderKind::Transformer { heads: 3, blocks: 1 },
+    ]
+}
+
+#[test]
+fn fit_rejects_unbuildable_encoders() {
+    let spec = datagen::by_name("pima_indian").unwrap();
+    let mut d = datagen::generate_capped(spec, 100, 0);
+    d.sanitize();
+    for encoder in unbuildable_encoders() {
+        let cfg = FastFtConfig { encoder, ..FastFtConfig::quick() };
+        let err = FastFt::new(cfg).fit(&d).unwrap_err();
+        match err {
+            FastFtError::InvalidConfig(m) => assert!(m.contains("encoder"), "{encoder:?}: {m}"),
+            other => panic!("{encoder:?}: expected InvalidConfig, got {other:?}"),
+        }
+    }
+}
+
+#[test]
+fn resume_rejects_unbuildable_encoders() {
+    let spec = datagen::by_name("pima_indian").unwrap();
+    let mut d = datagen::generate_capped(spec, 100, 0);
+    d.sanitize();
+    let path = tmp("encoder.ckpt");
+    let cfg = FastFtConfig {
+        episodes: 2,
+        steps_per_episode: 2,
+        cold_start_episodes: 1,
+        evaluator: Evaluator { folds: 2, ..Evaluator::default() },
+        checkpoint_every: 1,
+        checkpoint_path: Some(path.clone()),
+        ..FastFtConfig::default()
+    };
+    FastFt::new(cfg).fit(&d).unwrap();
+    // A checkpoint whose config names such an encoder is refused the same
+    // way, before any network is built.
+    for encoder in unbuildable_encoders() {
+        let err = FastFt::resume_with(&path, &d, |c| c.encoder = encoder).unwrap_err();
+        assert!(matches!(err, FastFtError::InvalidConfig(_)), "{encoder:?}: got {err:?}");
+    }
 }

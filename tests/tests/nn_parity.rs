@@ -170,3 +170,58 @@ fn minibatch_training_is_identical_across_worker_counts() {
         assert_eq!(train(threads), serial, "threads {threads}");
     }
 }
+
+/// FNV-1a over `f64` bit patterns.
+fn fnv_f64s(hash: &mut u64, values: &[f64]) {
+    for v in values {
+        for b in v.to_bits().to_le_bytes() {
+            *hash ^= u64::from(b);
+            *hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+}
+
+/// Golden output bits for every encoder kind: `predict` on a fixed
+/// sequence set, the loss of one `train_step`, the Adam first moments that
+/// step left behind (a scaled copy of every parameter gradient), `predict`
+/// after the step, and, for the recurrent kinds, `predict_state_into` after
+/// a two-part `encode_state`. The constants pin today's kernels bit for
+/// bit, so a refactor of the recurrent layers that changes any summation
+/// order fails here.
+#[test]
+fn encoder_outputs_match_golden_bits() {
+    let golden: [(EncoderKind, u64); 4] = [
+        (EncoderKind::Lstm { layers: 2 }, 0x2cf1_16f9_7b44_ff3c),
+        (EncoderKind::Gru { layers: 2 }, 0xb19c_afd8_1a98_1cae),
+        (EncoderKind::Rnn { layers: 2 }, 0x0c9c_c902_8ccd_9179),
+        (EncoderKind::Transformer { heads: 2, blocks: 1 }, 0x159f_8403_6b6c_6cd3),
+    ];
+    let seqs = sequences();
+    let full: Vec<usize> = vec![3, 1, 4, 1, 5, 9, 2, 6];
+    let hashes: Vec<(EncoderKind, u64)> = golden
+        .iter()
+        .map(|&(kind, _)| {
+            let mut net = SequenceRegressor::new(12, 8, 8, kind, &[6, 1], 1e-2, 41);
+            let mut hash = 0xcbf2_9ce4_8422_2325u64;
+            for seq in &seqs {
+                fnv_f64s(&mut hash, &net.predict(seq));
+            }
+            fnv_f64s(&mut hash, &[net.train_step(&full, &[0.7])]);
+            for m in &net.save_state().opt_m {
+                fnv_f64s(&mut hash, m);
+            }
+            for seq in &seqs {
+                fnv_f64s(&mut hash, &net.predict(seq));
+            }
+            if net.supports_incremental() {
+                let prefix = net.encode_state(None, &full[..3]);
+                let state = net.encode_state(Some(&prefix), &full[3..]);
+                let mut out = [0.0];
+                net.predict_state_into(&state, &mut out);
+                fnv_f64s(&mut hash, &out);
+            }
+            (kind, hash)
+        })
+        .collect();
+    assert_eq!(hashes, golden, "got {hashes:#x?}");
+}
