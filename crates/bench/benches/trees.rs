@@ -1,6 +1,6 @@
-//! Exact vs histogram split-search benchmark for the downstream tree
-//! stack (tree / forest / boosting), writing machine-readable results to
-//! `BENCH_trees.json` at the repository root.
+//! Fit-time benchmark for the downstream tree stack (tree / forest /
+//! boosting, all on the histogram split search), writing machine-readable
+//! results to `BENCH_trees.json` at the repository root.
 //!
 //! Std-only, `harness = false`, like `micro.rs`: each entry is the median
 //! wall time of `reps` fits after one warm-up. Pass `--quick` (or set
@@ -14,7 +14,7 @@
 
 use fastft_ml::boosting::{BoostParams, GradientBoostingClassifier};
 use fastft_ml::forest::{ForestParams, RandomForestClassifier};
-use fastft_ml::tree::{CartParams, DecisionTreeClassifier, SplitMethod};
+use fastft_ml::tree::{CartParams, DecisionTreeClassifier};
 use fastft_tabular::datagen;
 use std::time::Instant;
 
@@ -28,15 +28,15 @@ fn time_us<F: FnMut()>(reps: usize, mut f: F) -> f64 {
             t.elapsed().as_secs_f64() * 1e6
         })
         .collect();
-    samples.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
+    samples.sort_by(f64::total_cmp);
     samples[samples.len() / 2]
 }
 
 struct BenchCase {
     dataset: &'static str,
     rows: usize,
-    /// Models fitted on this config ("tree" always; ensembles only where
-    /// the exact baseline stays affordable).
+    /// Models fitted on this config ("tree" always; the ensembles too
+    /// unless `false`).
     ensembles: bool,
     reps: usize,
 }
@@ -46,22 +46,7 @@ struct Record {
     rows: usize,
     cols: usize,
     model: &'static str,
-    exact_us: f64,
-    hist_us: f64,
-}
-
-impl Record {
-    fn speedup(&self) -> f64 {
-        self.exact_us / self.hist_us
-    }
-}
-
-fn exact() -> SplitMethod {
-    SplitMethod::Exact
-}
-
-fn hist() -> SplitMethod {
-    SplitMethod::default()
+    fit_us: f64,
 }
 
 fn bench_case(case: &BenchCase, out: &mut Vec<Record>) {
@@ -73,84 +58,52 @@ fn bench_case(case: &BenchCase, out: &mut Vec<Record>) {
     let n = y.len();
     let d = cols.len();
     println!("== {} ({n} rows x {d} cols) ==", case.dataset);
+    let mut record = |model: &'static str, fit_us: f64| {
+        println!("  {model:<8} {fit_us:>10.1} us");
+        out.push(Record { dataset: case.dataset.into(), rows: n, cols: d, model, fit_us });
+    };
 
-    let time_tree = |method: SplitMethod| {
+    record(
+        "tree",
         time_us(case.reps, || {
-            let params = CartParams { split_method: method, ..CartParams::default() };
-            let mut t = DecisionTreeClassifier::new(params, 0);
+            let mut t = DecisionTreeClassifier::new(CartParams::default(), 0);
             t.fit(&cols, &y, data.n_classes);
             std::hint::black_box(t.n_nodes());
-        })
-    };
-    let (e, h) = (time_tree(exact()), time_tree(hist()));
-    println!("  tree   exact {:>10.1} us | hist {:>10.1} us | {:.2}x", e, h, e / h);
-    out.push(Record {
-        dataset: case.dataset.into(),
-        rows: n,
-        cols: d,
-        model: "tree",
-        exact_us: e,
-        hist_us: h,
-    });
-
+        }),
+    );
     if !case.ensembles {
         return;
     }
-
-    let time_forest = |method: SplitMethod| {
+    record(
+        "forest",
         time_us(case.reps, || {
-            let mut params = ForestParams::default();
-            params.cart.split_method = method;
-            let mut f = RandomForestClassifier::new(params, 0);
+            let mut f = RandomForestClassifier::new(ForestParams::default(), 0);
             f.fit(&cols, &y, data.n_classes);
             std::hint::black_box(f.feature_importances().len());
-        })
-    };
-    let (e, h) = (time_forest(exact()), time_forest(hist()));
-    println!("  forest exact {:>10.1} us | hist {:>10.1} us | {:.2}x", e, h, e / h);
-    out.push(Record {
-        dataset: case.dataset.into(),
-        rows: n,
-        cols: d,
-        model: "forest",
-        exact_us: e,
-        hist_us: h,
-    });
-
-    let time_boost = |method: SplitMethod| {
+        }),
+    );
+    record(
+        "boosting",
         time_us(case.reps, || {
-            let params = BoostParams { split_method: method, ..BoostParams::default() };
-            let mut g = GradientBoostingClassifier::new(params, 0);
+            let mut g = GradientBoostingClassifier::new(BoostParams::default(), 0);
             g.fit(&cols, &y, data.n_classes);
             std::hint::black_box(&g);
-        })
-    };
-    let (e, h) = (time_boost(exact()), time_boost(hist()));
-    println!("  boost  exact {:>10.1} us | hist {:>10.1} us | {:.2}x", e, h, e / h);
-    out.push(Record {
-        dataset: case.dataset.into(),
-        rows: n,
-        cols: d,
-        model: "boosting",
-        exact_us: e,
-        hist_us: h,
-    });
+        }),
+    );
 }
 
 fn write_json(records: &[Record], quick: bool) {
-    let mut body = String::from("{\n  \"benchmark\": \"split_method_exact_vs_histogram\",\n");
+    let mut body = String::from("{\n  \"benchmark\": \"tree_stack_histogram_fit\",\n");
     body.push_str(&format!("  \"quick\": {quick},\n  \"results\": [\n"));
     for (i, r) in records.iter().enumerate() {
         body.push_str(&format!(
             "    {{\"dataset\": \"{}\", \"rows\": {}, \"cols\": {}, \"model\": \"{}\", \
-             \"exact_us\": {:.1}, \"hist_us\": {:.1}, \"speedup\": {:.2}}}{}\n",
+             \"fit_us\": {:.1}}}{}\n",
             r.dataset,
             r.rows,
             r.cols,
             r.model,
-            r.exact_us,
-            r.hist_us,
-            r.speedup(),
+            r.fit_us,
             if i + 1 < records.len() { "," } else { "" }
         ));
     }
@@ -166,7 +119,7 @@ fn main() {
     let quick = std::env::args().any(|a| a == "--quick")
         || std::env::var("FASTFT_BENCH_QUICK").is_ok_and(|v| v == "1");
     println!(
-        "fastft tree-stack split benchmark ({}; median wall time)",
+        "fastft tree-stack fit benchmark ({}; median wall time)",
         if quick { "quick" } else { "full" }
     );
     let cases: Vec<BenchCase> = if quick {
@@ -175,8 +128,7 @@ fn main() {
         vec![
             BenchCase { dataset: "pima_indian", rows: 768, ensembles: true, reps: 5 },
             BenchCase { dataset: "adult", rows: 6000, ensembles: true, reps: 3 },
-            // Largest config: single tree only — the exact forest/boosting
-            // baselines at this size take minutes without telling us more.
+            // Largest config: single tree only, to keep the full sweep short.
             BenchCase { dataset: "jannis", rows: 20000, ensembles: false, reps: 3 },
         ]
     };

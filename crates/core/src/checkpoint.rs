@@ -16,7 +16,7 @@
 //! score. The counters accrued before the checkpoint travel in the
 //! telemetry.
 //!
-//! Format: magic `FFTCKPT1`, a `u32` version (currently 2), then the
+//! Format: magic `FFTCKPT1`, a `u32` version (currently 3), then the
 //! configuration and snapshot in the workspace-wide [`Persist`] layout
 //! (little-endian, `f64` as IEEE-754 bits, so floats survive exactly).
 //! Every component encodes itself next to its own definition — this module
@@ -42,8 +42,9 @@ pub const MAGIC: [u8; 8] = *b"FFTCKPT1";
 /// Current format version. Bumped on any layout change; a reader rejects
 /// any other version with a typed error instead of misparsing it.
 /// Version 2 dropped the configuration flag that switched off batched
-/// scoring and the snapshot's separate prefix-cache counter baseline.
-pub const VERSION: u32 = 2;
+/// scoring and the snapshot's separate prefix-cache counter baseline;
+/// version 3 dropped the evaluator's split-method field.
+pub const VERSION: u32 = 3;
 
 /// Replay-buffer contents in slot order, matching the configured variant —
 /// the generic [`fastft_rl::ReplayState`] instantiated with the engine's
@@ -243,7 +244,6 @@ mod tests {
     use super::*;
     use crate::agents::Decision;
     use crate::state::{CLUSTER_REP_DIM, HEAD_DIM, OP_DIM};
-    use fastft_ml::SplitMethod;
     use fastft_nn::EncoderKind;
     use fastft_rl::{QAgentState, QKind};
     use fastft_tabular::metrics::Metric;
@@ -364,13 +364,18 @@ mod tests {
 
     #[test]
     fn decode_rejects_version_1_files() {
-        let mut bytes = encode(&FastFtConfig::quick(), &sample_snapshot());
-        bytes[MAGIC.len()..MAGIC.len() + 4].copy_from_slice(&1u32.to_le_bytes());
-        match decode(&bytes) {
-            Err(FastFtError::Parse(msg)) => {
-                assert!(msg.contains("unsupported checkpoint version 1"), "{msg}");
+        for old in [1u32, 2] {
+            let mut bytes = encode(&FastFtConfig::quick(), &sample_snapshot());
+            bytes[MAGIC.len()..MAGIC.len() + 4].copy_from_slice(&old.to_le_bytes());
+            match decode(&bytes) {
+                Err(FastFtError::Parse(msg)) => {
+                    assert!(
+                        msg.contains(&format!("unsupported checkpoint version {old}")),
+                        "{msg}"
+                    );
+                }
+                other => panic!("expected a parse error for version {old}, got {other:?}"),
             }
-            other => panic!("expected a parse error, got {other:?}"),
         }
     }
 
@@ -420,7 +425,6 @@ mod tests {
         cfg.prioritized_replay = false;
         cfg.encoder = EncoderKind::Transformer { heads: 2, blocks: 1 };
         cfg.evaluator.metric = Some(Metric::Auc);
-        cfg.evaluator.split_method = SplitMethod::Exact;
         cfg.checkpoint_path = Some("x.ckpt".into());
         let mut snap = sample_snapshot();
         snap.agents = AgentsState::Q {

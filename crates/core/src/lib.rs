@@ -47,7 +47,6 @@ pub mod pipeline;
 pub mod predictor;
 pub mod report;
 pub mod scoring;
-pub mod search_stats;
 pub mod sequence;
 pub mod state;
 pub mod transform;

@@ -37,7 +37,8 @@ use std::convert::Infallible;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::Instant;
 
-/// Percentile of a sample (linear interpolation, `q` in `[0, 1]`).
+/// Percentile of a sample (linear interpolation, `q` in `[0, 1]`). NaN
+/// values sort after every other value.
 ///
 /// Returns `NaN` for an empty sample: every comparison against it is
 /// `false`, so an empty history can never fire a percentile trigger.
@@ -46,7 +47,7 @@ pub fn percentile(values: &[f64], q: f64) -> f64 {
         return f64::NAN;
     }
     let mut sorted = values.to_vec();
-    sorted.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
+    sorted.sort_by(fastft_tabular::stats::nan_last_cmp);
     fastft_tabular::stats::percentile_sorted(&sorted, q)
 }
 
@@ -636,5 +637,30 @@ mod tests {
     #[test]
     fn percentile_is_order_invariant() {
         assert_eq!(percentile(&[5.0, 1.0, 3.0, 2.0, 4.0], 0.5), 3.0);
+    }
+
+    #[test]
+    fn percentile_with_nans_is_order_invariant() {
+        // NaN sorts last, so the median of {0.5, 1, 2, 3, NaN} is 2 in
+        // every input order.
+        for v in [
+            [f64::NAN, 3.0, 1.0, 2.0, 0.5],
+            [3.0, 1.0, f64::NAN, 2.0, 0.5],
+            [0.5, 1.0, 2.0, 3.0, f64::NAN],
+        ] {
+            assert_eq!(percentile(&v, 0.5), 2.0, "{v:?}");
+        }
+        // 100 values with 15 NaNs in three orders.
+        let base: Vec<f64> =
+            (0..100).map(|i| if i % 7 == 0 { f64::NAN } else { f64::from(i * 37 % 101) }).collect();
+        let reversed: Vec<f64> = base.iter().rev().copied().collect();
+        let interleaved: Vec<f64> = (0..100).map(|i| base[(i * 43) % 100]).collect();
+        for q in [0.1, 0.5, 0.8] {
+            let expected = percentile(&base, q);
+            assert!(expected.is_finite());
+            for v in [&reversed, &interleaved] {
+                assert_eq!(percentile(v, q).to_bits(), expected.to_bits(), "q {q}");
+            }
+        }
     }
 }

@@ -12,6 +12,7 @@ use crate::ops::Op;
 use fastft_tabular::dataset::{Column, Dataset};
 use fastft_tabular::mi;
 use fastft_tabular::rngx::StdRng;
+use fastft_tabular::stats::nan_last_cmp;
 use std::collections::HashSet;
 
 /// A working feature set: the current dataset plus one expression per
@@ -121,10 +122,9 @@ impl FeatureSet {
             return;
         }
         let scores = mi::relevance_scores(&self.data, n_bins);
+        // Descending by score, NaN last: ascending on negated scores.
         let mut order: Vec<usize> = (0..scores.len()).collect();
-        order.sort_by(|&a, &b| {
-            scores[b].partial_cmp(&scores[a]).unwrap_or(std::cmp::Ordering::Equal)
-        });
+        order.sort_by(|&a, &b| nan_last_cmp(&-scores[a], &-scores[b]));
         order.truncate(max_features);
         order.sort_unstable();
         self.data = self.data.select_features(&order);

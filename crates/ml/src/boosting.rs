@@ -3,11 +3,12 @@
 //!
 //! Regression boosts squared loss on residuals; classification boosts
 //! logistic loss with one score function per class (multinomial "one tree
-//! per class per round" scheme) over shallow CART regressors.
+//! per class per round" scheme) over shallow CART regressors. The training
+//! matrix is binned once per fit and shared by every round and class.
 
-use crate::binning::BinnedMatrix;
+use crate::binning::{BinnedMatrix, MAX_BINS_LIMIT};
 use crate::linear::softmax;
-use crate::tree::{argmax, CartParams, DecisionTreeRegressor, SplitMethod};
+use crate::tree::{argmax, CartParams, DecisionTreeRegressor};
 use fastft_runtime::Runtime;
 
 /// Boosting hyperparameters.
@@ -19,50 +20,25 @@ pub struct BoostParams {
     pub learning_rate: f64,
     /// Base-learner tree depth.
     pub max_depth: usize,
-    /// Split-search backend of the base learners. In histogram mode the
-    /// training matrix is binned once and shared across every round and
-    /// class (targets change between rounds, features never do).
-    pub split_method: SplitMethod,
 }
 
 impl Default for BoostParams {
     fn default() -> Self {
-        BoostParams {
-            n_rounds: 30,
-            learning_rate: 0.15,
-            max_depth: 3,
-            split_method: SplitMethod::default(),
-        }
+        BoostParams { n_rounds: 30, learning_rate: 0.15, max_depth: 3 }
     }
 }
 
-fn base_cart(p: &BoostParams) -> CartParams {
-    CartParams { max_depth: p.max_depth, split_method: p.split_method, ..CartParams::default() }
-}
-
-/// Bin once for the whole boosting run when in histogram mode.
-fn shared_binning(p: &BoostParams, columns: &[Vec<f64>]) -> Option<BinnedMatrix> {
-    match p.split_method {
-        SplitMethod::Histogram { max_bins } => Some(BinnedMatrix::build(columns, max_bins)),
-        SplitMethod::Exact => None,
-    }
-}
-
-/// Fit one base learner against `targets`, using the shared bins when
-/// available.
+/// Fit one base learner against `targets` over the run's shared bins
+/// (targets change between rounds, features never do).
 fn fit_base(
     params: &BoostParams,
-    columns: &[Vec<f64>],
-    binned: Option<&BinnedMatrix>,
+    binned: &BinnedMatrix,
     targets: &[f64],
     seed: u64,
 ) -> DecisionTreeRegressor {
-    let mut tree = DecisionTreeRegressor::new(base_cart(params), seed);
-    let rows: Vec<usize> = (0..targets.len()).collect();
-    match binned {
-        Some(b) => tree.fit_rows_prebinned(b, targets, rows),
-        None => tree.fit_rows(columns, targets, rows),
-    }
+    let cart = CartParams { max_depth: params.max_depth, ..CartParams::default() };
+    let mut tree = DecisionTreeRegressor::new(cart, seed);
+    tree.fit_binned(binned, targets, (0..targets.len()).collect());
     tree
 }
 
@@ -88,11 +64,10 @@ impl GradientBoostingRegressor {
         let rows: Vec<Vec<f64>> = (0..n).map(|i| columns.iter().map(|c| c[i]).collect()).collect();
         let mut pred = vec![self.base; n];
         self.trees.clear();
-        let binned = shared_binning(&self.params, columns);
+        let binned = BinnedMatrix::build(columns, MAX_BINS_LIMIT);
         for r in 0..self.params.n_rounds {
             let resid: Vec<f64> = y.iter().zip(&pred).map(|(t, p)| t - p).collect();
-            let tree =
-                fit_base(&self.params, columns, binned.as_ref(), &resid, self.seed + r as u64);
+            let tree = fit_base(&self.params, &binned, &resid, self.seed + r as u64);
             for (p, row) in pred.iter_mut().zip(&rows) {
                 *p += self.params.learning_rate * tree.predict_row(row);
             }
@@ -159,8 +134,7 @@ impl GradientBoostingClassifier {
         let rows: Vec<Vec<f64>> = (0..n).map(|i| columns.iter().map(|c| c[i]).collect()).collect();
         let mut scores: Vec<Vec<f64>> = (0..n).map(|_| self.priors.clone()).collect();
         self.trees.clear();
-        let binned = shared_binning(&self.params, columns);
-        let binned = binned.as_ref();
+        let binned = BinnedMatrix::build(columns, MAX_BINS_LIMIT);
         for r in 0..self.params.n_rounds {
             // Gradients of the multinomial log-loss: y_onehot - softmax.
             let probs: Vec<Vec<f64>> = scores.iter().map(|s| softmax(s)).collect();
@@ -170,8 +144,7 @@ impl GradientBoostingClassifier {
                         (0..n).map(|i| f64::from(u8::from(y[i] == c)) - probs[i][c]).collect();
                     let tree = fit_base(
                         &self.params,
-                        columns,
-                        binned,
+                        &binned,
                         &grad,
                         self.seed + (r * n_classes + c) as u64,
                     );

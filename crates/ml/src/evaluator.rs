@@ -11,7 +11,7 @@ use crate::boosting::{BoostParams, GradientBoostingClassifier, GradientBoostingR
 use crate::forest::{ForestParams, RandomForestClassifier, RandomForestRegressor};
 use crate::knn::Knn;
 use crate::linear::{LinearSvm, LogisticRegression, RidgeClassifier, RidgeRegressor};
-use crate::tree::{CartParams, DecisionTreeClassifier, DecisionTreeRegressor, SplitMethod};
+use crate::tree::{CartParams, DecisionTreeClassifier, DecisionTreeRegressor};
 use fastft_runtime::Runtime;
 use fastft_tabular::dataset::Dataset;
 use fastft_tabular::metrics::{self, Metric};
@@ -75,9 +75,6 @@ pub struct Evaluator {
     pub folds: usize,
     /// Seed controlling folds and model randomness.
     pub seed: u64,
-    /// Split-search backend of the tree-stack models (forest, boosting,
-    /// single tree); ignored by the linear/kNN families.
-    pub split_method: SplitMethod,
     /// Test-only fault-injection hook (see [`crate::fault`]); always `None`
     /// in production configs.
     pub fault_plan: Option<crate::fault::FaultPlan>,
@@ -90,7 +87,6 @@ impl Default for Evaluator {
             metric: None,
             folds: 5,
             seed: 0,
-            split_method: SplitMethod::default(),
             fault_plan: None,
         }
     }
@@ -127,7 +123,7 @@ impl Persist for Evaluator {
     fn persist(&self, w: &mut Writer) {
         // Exhaustive destructure: adding an Evaluator field without
         // deciding how (or whether) to persist it is a compile error.
-        let Evaluator { model, metric, folds, seed, split_method, fault_plan: _ } = self;
+        let Evaluator { model, metric, folds, seed, fault_plan: _ } = self;
         model.persist(w);
         // Optional metric packed into one byte (255 = None), predating the
         // generic two-byte `Option` encoding.
@@ -137,7 +133,6 @@ impl Persist for Evaluator {
         }
         folds.persist(w);
         seed.persist(w);
-        split_method.persist(w);
         // `fault_plan` is a test-only hook with process-local state; it is
         // never persisted. `FastFt::resume_with` can reattach one.
     }
@@ -151,7 +146,6 @@ impl Persist for Evaluator {
             },
             folds: Persist::restore(r)?,
             seed: Persist::restore(r)?,
-            split_method: Persist::restore(r)?,
             fault_plan: None,
         })
     }
@@ -166,20 +160,6 @@ impl Evaluator {
     /// The metric this evaluator reports for `task`.
     pub fn metric_for(&self, task: TaskType) -> Metric {
         self.metric.unwrap_or_else(|| Metric::default_for(task))
-    }
-
-    fn forest_params(&self) -> ForestParams {
-        let mut p = ForestParams::default();
-        p.cart.split_method = self.split_method;
-        p
-    }
-
-    fn boost_params(&self) -> BoostParams {
-        BoostParams { split_method: self.split_method, ..BoostParams::default() }
-    }
-
-    fn cart_params(&self) -> CartParams {
-        CartParams { split_method: self.split_method, ..CartParams::default() }
     }
 
     /// Mean k-fold CV score of the dataset's feature set (single-threaded).
@@ -205,20 +185,29 @@ impl Evaluator {
                 data.name
             )));
         }
-        if data.n_rows() < 2 {
+        let folds = self.folds.max(2);
+        if data.n_rows() < folds {
             return Err(FastFtError::Evaluation(format!(
-                "dataset `{}` has {} rows; cross-validation needs at least 2",
+                "dataset `{}` has {} rows; {folds}-fold cross-validation needs at least {folds}",
                 data.name,
                 data.n_rows()
             )));
         }
-        let folds = self.folds.max(2);
         let kf = if data.task.is_discrete() {
             KFold::stratified(&data.class_labels(), folds, self.seed)
         } else {
             KFold::new(data.n_rows(), folds, self.seed)
         };
         let splits: Vec<(Vec<usize>, Vec<usize>)> = kf.iter().collect();
+        // Stratified dealing leaves a fold empty when every class has fewer
+        // rows than folds; averaging in an empty fold would skew the score.
+        if let Some(empty) = splits.iter().position(|(_, test)| test.is_empty()) {
+            return Err(FastFtError::Evaluation(format!(
+                "dataset `{}`: test fold {empty} of {folds} is empty (every class has fewer \
+                 than {folds} rows); use fewer folds",
+                data.name
+            )));
+        }
         let scores: FastFtResult<Vec<f64>> = rt
             .par_map(splits, |(train_idx, test_idx)| {
                 self.evaluate_fold(data, &train_idx, &test_idx)
@@ -273,17 +262,17 @@ impl Evaluator {
     ) -> Vec<f64> {
         match self.model {
             ModelKind::RandomForest => {
-                let mut m = RandomForestRegressor::new(self.forest_params(), self.seed);
+                let mut m = RandomForestRegressor::new(ForestParams::default(), self.seed);
                 m.fit(train_cols, y);
                 m.predict(test_rows)
             }
             ModelKind::GradientBoosting => {
-                let mut m = GradientBoostingRegressor::new(self.boost_params(), self.seed);
+                let mut m = GradientBoostingRegressor::new(BoostParams::default(), self.seed);
                 m.fit(train_cols, y);
                 m.predict(test_rows)
             }
             ModelKind::DecisionTree => {
-                let mut m = DecisionTreeRegressor::new(self.cart_params(), self.seed);
+                let mut m = DecisionTreeRegressor::new(CartParams::default(), self.seed);
                 m.fit(train_cols, y);
                 m.predict(test_rows)
             }
@@ -311,17 +300,17 @@ impl Evaluator {
     ) -> (Vec<usize>, Vec<f64>) {
         match self.model {
             ModelKind::RandomForest => {
-                let mut m = RandomForestClassifier::new(self.forest_params(), self.seed);
+                let mut m = RandomForestClassifier::new(ForestParams::default(), self.seed);
                 m.fit(train_cols, y, n_classes);
                 (m.predict(test_rows), m.predict_scores(test_rows))
             }
             ModelKind::GradientBoosting => {
-                let mut m = GradientBoostingClassifier::new(self.boost_params(), self.seed);
+                let mut m = GradientBoostingClassifier::new(BoostParams::default(), self.seed);
                 m.fit(train_cols, y, n_classes);
                 (m.predict(test_rows), m.predict_scores(test_rows))
             }
             ModelKind::DecisionTree => {
-                let mut m = DecisionTreeClassifier::new(self.cart_params(), self.seed);
+                let mut m = DecisionTreeClassifier::new(CartParams::default(), self.seed);
                 m.fit(train_cols, y, n_classes);
                 let pred = m.predict(test_rows);
                 let scores = test_rows

@@ -7,21 +7,13 @@
 //! Trees are independent given their seeds, so fitting and prediction
 //! parallelise over a [`Runtime`]: every tree draws its bootstrap sample
 //! from its own `StdRng::stream(seed, tree_index)`, which makes the fitted
-//! forest byte-identical for a given seed regardless of worker count.
+//! forest byte-identical for a given seed regardless of worker count. The
+//! training matrix is binned once per fit and shared by every tree.
 
-use crate::binning::BinnedMatrix;
-use crate::tree::{self, CartParams, DecisionTreeClassifier, DecisionTreeRegressor, SplitMethod};
+use crate::binning::{BinnedMatrix, MAX_BINS_LIMIT};
+use crate::tree::{self, CartParams, DecisionTreeClassifier, DecisionTreeRegressor};
 use fastft_runtime::Runtime;
 use fastft_tabular::rngx::StdRng;
-
-/// In histogram mode, bin the training matrix once so every tree of the
-/// ensemble shares the same [`BinnedMatrix`] instead of re-binning.
-fn shared_binning(cart: &CartParams, columns: &[Vec<f64>]) -> Option<BinnedMatrix> {
-    match cart.split_method {
-        SplitMethod::Histogram { max_bins } => Some(BinnedMatrix::build(columns, max_bins)),
-        SplitMethod::Exact => None,
-    }
-}
 
 /// Forest hyperparameters.
 #[derive(Debug, Clone, Copy)]
@@ -82,16 +74,13 @@ impl RandomForestClassifier {
         }
         let n_boot = ((n as f64) * self.params.sample_frac).round().max(1.0) as usize;
         let seed = self.seed;
-        let binned = shared_binning(&cart, columns);
-        let binned = binned.as_ref();
+        let binned = BinnedMatrix::build(columns, MAX_BINS_LIMIT);
         self.trees = rt.par_map_indexed((0..self.params.n_trees).collect(), |_, t| {
             let mut rng = StdRng::stream(seed, t as u64);
             let rows: Vec<usize> = (0..n_boot).map(|_| rng.gen_range(0..n)).collect();
-            let tree_seed = seed.wrapping_add(t as u64 + 1);
-            match binned {
-                Some(b) => tree::fit_classifier_prebinned(b, y, n_classes, &cart, rows, tree_seed),
-                None => tree::fit_classifier_rows(columns, y, n_classes, &cart, rows, tree_seed),
-            }
+            let mut tree = DecisionTreeClassifier::new(cart, seed.wrapping_add(t as u64 + 1));
+            tree.fit_binned(&binned, y, n_classes, rows);
+            tree
         });
         self.importances = vec![0.0; d];
         for tree in &self.trees {
@@ -170,16 +159,12 @@ impl RandomForestRegressor {
         }
         let n_boot = ((n as f64) * self.params.sample_frac).round().max(1.0) as usize;
         let seed = self.seed;
-        let binned = shared_binning(&cart, columns);
-        let binned = binned.as_ref();
+        let binned = BinnedMatrix::build(columns, MAX_BINS_LIMIT);
         self.trees = rt.par_map_indexed((0..self.params.n_trees).collect(), |_, t| {
             let mut rng = StdRng::stream(seed, t as u64);
             let rows: Vec<usize> = (0..n_boot).map(|_| rng.gen_range(0..n)).collect();
             let mut tree = DecisionTreeRegressor::new(cart, seed.wrapping_add(t as u64 + 1));
-            match binned {
-                Some(b) => tree.fit_rows_prebinned(b, y, rows),
-                None => tree.fit_rows(columns, y, rows),
-            }
+            tree.fit_binned(&binned, y, rows);
             tree
         });
         self.importances = vec![0.0; d];
@@ -290,28 +275,21 @@ mod tests {
         let rows: Vec<Vec<f64>> = a.iter().zip(&b).map(|(&x, &z)| vec![x, z]).collect();
         let rt1 = Runtime::new(1);
         let rt4 = Runtime::new(4);
-        // Both split backends must honour the PR-1 contract: the fitted
-        // ensemble is byte-identical for a given seed at any worker count.
-        for split_method in
-            [SplitMethod::Exact, SplitMethod::Histogram { max_bins: 255 }, SplitMethod::default()]
-        {
-            let params = ForestParams {
-                cart: CartParams { split_method, ..ForestParams::default().cart },
-                ..ForestParams::default()
-            };
-            let mut f1 = RandomForestClassifier::new(params, 11);
-            f1.fit_with(&rt1, &cols, &y, 2);
-            let mut f4 = RandomForestClassifier::new(params, 11);
-            f4.fit_with(&rt4, &cols, &y, 2);
-            assert_eq!(f1.predict(&rows), f4.predict_with(&rt4, &rows), "{split_method:?}");
-            assert_eq!(f1.feature_importances(), f4.feature_importances(), "{split_method:?}");
-            let yr: Vec<f64> = a.iter().map(|v| v * v).collect();
-            let mut r1 = RandomForestRegressor::new(params, 11);
-            r1.fit_with(&rt1, &cols, &yr);
-            let mut r4 = RandomForestRegressor::new(params, 11);
-            r4.fit_with(&rt4, &cols, &yr);
-            assert_eq!(r1.predict(&rows), r4.predict_with(&rt4, &rows), "{split_method:?}");
-        }
+        // Determinism contract: the fitted ensemble is byte-identical for a given
+        // seed at any worker count.
+        let params = ForestParams::default();
+        let mut f1 = RandomForestClassifier::new(params, 11);
+        f1.fit_with(&rt1, &cols, &y, 2);
+        let mut f4 = RandomForestClassifier::new(params, 11);
+        f4.fit_with(&rt4, &cols, &y, 2);
+        assert_eq!(f1.predict(&rows), f4.predict_with(&rt4, &rows));
+        assert_eq!(f1.feature_importances(), f4.feature_importances());
+        let yr: Vec<f64> = a.iter().map(|v| v * v).collect();
+        let mut r1 = RandomForestRegressor::new(params, 11);
+        r1.fit_with(&rt1, &cols, &yr);
+        let mut r4 = RandomForestRegressor::new(params, 11);
+        r4.fit_with(&rt4, &cols, &yr);
+        assert_eq!(r1.predict(&rows), r4.predict_with(&rt4, &rows));
     }
 
     #[test]

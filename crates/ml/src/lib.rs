@@ -4,9 +4,8 @@
 //! `A(T(F), y)` whose runtime FASTFT works to avoid. Implemented here:
 //!
 //! - [`tree`]: CART decision trees (gini / variance criteria) with impurity
-//!   feature importances and two split backends — exact sorted search and
-//!   LightGBM-style histogram search over the quantile bins of
-//!   [`binning`].
+//!   feature importances and LightGBM-style histogram split search over
+//!   the quantile bins of [`binning`].
 //! - [`binning`]: once-per-fit quantile discretisation of feature columns
 //!   into `u8` bin codes (plus a missing bin for NaN).
 //! - [`forest`]: bagged random forests, the default evaluator model used in
@@ -26,7 +25,6 @@ pub mod fault;
 pub mod forest;
 pub mod knn;
 pub mod linear;
-pub mod naive_bayes;
 pub mod preprocess;
 pub mod tree;
 
@@ -34,4 +32,4 @@ pub use binning::BinnedMatrix;
 pub use evaluator::{Evaluator, ModelKind};
 pub use fault::{FaultKind, FaultPlan};
 pub use forest::{RandomForestClassifier, RandomForestRegressor};
-pub use tree::{CartParams, DecisionTreeClassifier, DecisionTreeRegressor, SplitMethod};
+pub use tree::{CartParams, DecisionTreeClassifier, DecisionTreeRegressor};

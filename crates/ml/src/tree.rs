@@ -2,77 +2,24 @@
 //!
 //! One generic builder serves both classification (gini impurity, class
 //! distribution leaves) and regression (variance impurity, mean leaves).
-//! Two split-search backends share it, selected by
-//! [`CartParams::split_method`]:
+//! Split search is histogram-based: every fit quantile-bins its features
+//! once into `u8` codes ([`BinnedMatrix`], at most
+//! [`MAX_BINS_LIMIT`] finite bins per feature), builds per-node
+//! gradient/count histograms in one `O(rows)` pass, scans bin boundaries
+//! instead of row boundaries, and derives the larger child's histogram by
+//! subtracting the smaller child from the parent, so only the smaller
+//! child is ever re-scanned. Histogram and row-index buffers are pooled
+//! across the whole fit. When the bins cover every distinct value the
+//! search finds the same partitions as the textbook sorted-rows search,
+//! which this module's tests keep as an oracle.
 //!
-//! - [`SplitMethod::Exact`] sorts the node's rows per candidate feature
-//!   and scans all boundaries with prefix statistics —
-//!   `O(rows · log rows · features)` per node, the textbook procedure.
-//! - [`SplitMethod::Histogram`] (the default) quantile-bins every feature
-//!   once per fit into `u8` codes ([`crate::binning::BinnedMatrix`]),
-//!   builds per-node gradient/count histograms in one `O(rows)` pass,
-//!   scans bin boundaries instead of row boundaries, and derives the
-//!   larger child's histogram by subtracting the smaller child from the
-//!   parent, so only the smaller child is ever re-scanned. Histogram and
-//!   row-index buffers are pooled across the whole fit, eliminating the
-//!   per-node allocation churn of the exact path.
-//!
-//! NaN feature values are deterministic in both backends: prediction
-//! routes NaN right (any `NaN <= t` is false), the histogram path bins
-//! NaN into a dedicated missing bin with the highest code, and the exact
-//! path sorts NaN to the end of every column scan.
+//! NaN feature values are deterministic: prediction routes NaN right (any
+//! `NaN <= t` is false), and binning puts NaN into a dedicated missing bin
+//! with the highest code, so NaN rows sit right of every candidate split
+//! during training too.
 
-use crate::binning::BinnedMatrix;
+use crate::binning::{BinnedMatrix, MAX_BINS_LIMIT};
 use fastft_tabular::rngx::StdRng;
-
-/// Split-search backend used when growing a tree.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SplitMethod {
-    /// Sort-based exhaustive search over every boundary between distinct
-    /// values.
-    Exact,
-    /// Histogram search over at most `max_bins` quantile bins per feature
-    /// (clamped to 1..=255), plus a missing bin for NaN.
-    Histogram {
-        /// Maximum finite-value bins per feature.
-        max_bins: u16,
-    },
-}
-
-impl fastft_tabular::persist::Persist for SplitMethod {
-    // Fixed-width layout: tag byte + a u32 bin-count slot for both variants.
-    fn persist(&self, w: &mut fastft_tabular::persist::Writer) {
-        match self {
-            SplitMethod::Exact => {
-                w.u8(0);
-                w.u32(0);
-            }
-            SplitMethod::Histogram { max_bins } => {
-                w.u8(1);
-                w.u32(u32::from(*max_bins));
-            }
-        }
-    }
-
-    fn restore(
-        r: &mut fastft_tabular::persist::Reader,
-    ) -> fastft_tabular::persist::PersistResult<Self> {
-        Ok(match (r.u8()?, r.u32()?) {
-            (0, _) => SplitMethod::Exact,
-            (1, bins) => SplitMethod::Histogram {
-                max_bins: u16::try_from(bins)
-                    .map_err(|_| format!("max_bins {bins} out of range"))?,
-            },
-            (t, _) => return Err(format!("unknown split-method tag {t}")),
-        })
-    }
-}
-
-impl Default for SplitMethod {
-    fn default() -> Self {
-        SplitMethod::Histogram { max_bins: 255 }
-    }
-}
 
 /// Tree growth hyperparameters shared by every tree-based model here.
 #[derive(Debug, Clone, Copy)]
@@ -86,19 +33,11 @@ pub struct CartParams {
     /// Candidate features per split: `None` = all, `Some(k)` = random k
     /// (random-forest style column subsampling).
     pub max_features: Option<usize>,
-    /// Split-search backend.
-    pub split_method: SplitMethod,
 }
 
 impl Default for CartParams {
     fn default() -> Self {
-        CartParams {
-            max_depth: 8,
-            min_samples_split: 4,
-            min_samples_leaf: 2,
-            max_features: None,
-            split_method: SplitMethod::default(),
-        }
+        CartParams { max_depth: 8, min_samples_split: 4, min_samples_leaf: 2, max_features: None }
     }
 }
 
@@ -119,18 +58,10 @@ enum Node {
 
 /// Internal target abstraction so one builder serves both task families.
 ///
-/// The `hist_*` methods are the flat-slice view used by the histogram
-/// backend: a bin accumulator is `hist_width()` consecutive `f64` slots
-/// whose slot 0 is the sample count, so child histograms can be derived
-/// by element-wise subtraction (sibling trick).
+/// A bin accumulator is `hist_width()` consecutive `f64` slots whose slot
+/// 0 is the sample count, so child histograms can be derived by
+/// element-wise subtraction (sibling trick).
 trait Criterion {
-    /// Aggregated sufficient statistics of a sample subset.
-    type Stats: Clone;
-    fn stats(&self, rows: &[usize]) -> Self::Stats;
-    fn impurity(&self, s: &Self::Stats, n: usize) -> f64;
-    fn add(&self, s: &mut Self::Stats, row: usize);
-    fn sub(&self, s: &mut Self::Stats, row: usize);
-    fn leaf_value(&self, s: &Self::Stats, n: usize) -> Vec<f64>;
     /// `f64` slots per histogram bin; slot 0 holds the count.
     fn hist_width(&self) -> usize;
     /// Accumulate one row into a bin accumulator.
@@ -147,39 +78,6 @@ struct GiniCriterion<'a> {
 }
 
 impl Criterion for GiniCriterion<'_> {
-    type Stats = Vec<f64>;
-
-    fn stats(&self, rows: &[usize]) -> Vec<f64> {
-        let mut counts = vec![0.0; self.n_classes];
-        for &r in rows {
-            counts[self.y[r]] += 1.0;
-        }
-        counts
-    }
-
-    fn impurity(&self, counts: &Vec<f64>, n: usize) -> f64 {
-        if n == 0 {
-            return 0.0;
-        }
-        let n = n as f64;
-        1.0 - counts.iter().map(|c| (c / n) * (c / n)).sum::<f64>()
-    }
-
-    fn add(&self, s: &mut Vec<f64>, row: usize) {
-        s[self.y[row]] += 1.0;
-    }
-
-    fn sub(&self, s: &mut Vec<f64>, row: usize) {
-        s[self.y[row]] -= 1.0;
-    }
-
-    fn leaf_value(&self, counts: &Vec<f64>, n: usize) -> Vec<f64> {
-        if n == 0 {
-            return vec![1.0 / self.n_classes as f64; self.n_classes];
-        }
-        counts.iter().map(|c| c / n as f64).collect()
-    }
-
     fn hist_width(&self) -> usize {
         1 + self.n_classes
     }
@@ -211,40 +109,6 @@ struct VarCriterion<'a> {
 }
 
 impl Criterion for VarCriterion<'_> {
-    /// `(sum, sum_sq)`
-    type Stats = (f64, f64);
-
-    fn stats(&self, rows: &[usize]) -> (f64, f64) {
-        let mut s = (0.0, 0.0);
-        for &r in rows {
-            s.0 += self.y[r];
-            s.1 += self.y[r] * self.y[r];
-        }
-        s
-    }
-
-    fn impurity(&self, &(sum, sq): &(f64, f64), n: usize) -> f64 {
-        if n == 0 {
-            return 0.0;
-        }
-        let n = n as f64;
-        (sq / n - (sum / n) * (sum / n)).max(0.0)
-    }
-
-    fn add(&self, s: &mut (f64, f64), row: usize) {
-        s.0 += self.y[row];
-        s.1 += self.y[row] * self.y[row];
-    }
-
-    fn sub(&self, s: &mut (f64, f64), row: usize) {
-        s.0 -= self.y[row];
-        s.1 -= self.y[row] * self.y[row];
-    }
-
-    fn leaf_value(&self, &(sum, _): &(f64, f64), n: usize) -> Vec<f64> {
-        vec![if n == 0 { 0.0 } else { sum / n as f64 }]
-    }
-
     fn hist_width(&self) -> usize {
         3 // count, sum, sum of squares
     }
@@ -275,7 +139,7 @@ struct Cart {
     importances: Vec<f64>,
 }
 
-/// Pooled buffers for one histogram-mode fit: histogram buffers are
+/// Pooled buffers for one fit: histogram buffers are
 /// recycled through a free list (peak ≈ tree depth + 1 alive at once) and
 /// one scratch vector serves every stable row partition, so growing a node
 /// allocates nothing once the pools are warm.
@@ -334,22 +198,7 @@ struct Grow<'g, C> {
 }
 
 impl Cart {
-    fn fit<C: Criterion>(
-        columns: &[Vec<f64>],
-        crit: &C,
-        params: &CartParams,
-        rows: Vec<usize>,
-        rng: &mut StdRng,
-    ) -> Cart {
-        let n_features = columns.len();
-        let n_total = rows.len();
-        let mut tree = Cart { nodes: Vec::new(), importances: vec![0.0; n_features] };
-        tree.grow(columns, &mut Grow { crit, params, n_total, rng }, rows, 0);
-        tree.normalise_importances();
-        tree
-    }
-
-    /// Histogram-mode fit over a prebuilt [`BinnedMatrix`].
+    /// Fit over a prebuilt [`BinnedMatrix`].
     fn fit_hist<C: Criterion>(
         binned: &BinnedMatrix,
         crit: &C,
@@ -386,7 +235,7 @@ impl Cart {
         }
     }
 
-    /// Recursively grow a histogram-mode subtree; returns its root node
+    /// Recursively grow a subtree; returns its root node
     /// index. `hist` is this node's histogram (ownership transfers in:
     /// it is either recycled into `ws` or reused for the larger child).
     fn grow_hist<C: Criterion>(
@@ -474,42 +323,6 @@ impl Cart {
         idx
     }
 
-    /// Recursively grow a subtree; returns its root node index.
-    fn grow<C: Criterion>(
-        &mut self,
-        columns: &[Vec<f64>],
-        g: &mut Grow<'_, C>,
-        rows: Vec<usize>,
-        depth: usize,
-    ) -> usize {
-        let (crit, params, n_total) = (g.crit, g.params, g.n_total);
-        let n = rows.len();
-        let stats = crit.stats(&rows);
-        let impurity = crit.impurity(&stats, n);
-
-        let make_leaf =
-            depth >= params.max_depth || n < params.min_samples_split || impurity <= 1e-12;
-        if !make_leaf {
-            if let Some((feature, threshold, gain, left_rows, right_rows)) =
-                best_split(columns, crit, params, &rows, impurity, g.rng)
-            {
-                self.importances[feature] += gain * n as f64 / n_total as f64;
-                let idx = self.nodes.len();
-                self.nodes.push(Node::Split { feature, threshold, left: 0, right: 0 });
-                let left = self.grow(columns, g, left_rows, depth + 1);
-                let right = self.grow(columns, g, right_rows, depth + 1);
-                if let Node::Split { left: l, right: r, .. } = &mut self.nodes[idx] {
-                    *l = left;
-                    *r = right;
-                }
-                return idx;
-            }
-        }
-        let idx = self.nodes.len();
-        self.nodes.push(Node::Leaf { value: crit.leaf_value(&stats, n) });
-        idx
-    }
-
     fn predict_row(&self, row: &[f64]) -> &[f64] {
         let mut i = 0;
         loop {
@@ -528,8 +341,7 @@ impl Cart {
 }
 
 /// Candidate feature indices for one node: all features, or a partial
-/// Fisher–Yates sample of `k`. Shared by both split backends so they
-/// consume the per-tree RNG identically.
+/// Fisher–Yates sample of `k`.
 fn sample_features(params: &CartParams, n_features: usize, rng: &mut StdRng) -> Vec<usize> {
     match params.max_features {
         Some(k) if k < n_features => {
@@ -543,74 +355,6 @@ fn sample_features(params: &CartParams, n_features: usize, rng: &mut StdRng) -> 
         }
         _ => (0..n_features).collect(),
     }
-}
-
-/// Total order on split values: NaN compares equal to NaN and greater
-/// than everything else, so every column scan places NaN rows in one
-/// deterministic block at the end regardless of input order.
-fn split_value_cmp(a: f64, b: f64) -> std::cmp::Ordering {
-    match (a.is_nan(), b.is_nan()) {
-        (true, true) => std::cmp::Ordering::Equal,
-        (true, false) => std::cmp::Ordering::Greater,
-        (false, true) => std::cmp::Ordering::Less,
-        (false, false) => a.partial_cmp(&b).expect("both finite or infinite"),
-    }
-}
-
-/// Exhaustive best split over (subsampled) features.
-///
-/// Returns `(feature, threshold, impurity_decrease, left_rows, right_rows)`.
-#[allow(clippy::type_complexity)]
-fn best_split<C: Criterion>(
-    columns: &[Vec<f64>],
-    crit: &C,
-    params: &CartParams,
-    rows: &[usize],
-    parent_impurity: f64,
-    rng: &mut StdRng,
-) -> Option<(usize, f64, f64, Vec<usize>, Vec<usize>)> {
-    let n = rows.len();
-    let feature_idx = sample_features(params, columns.len(), rng);
-
-    let mut best: Option<(usize, f64, f64)> = None; // (feature, threshold, gain)
-    let mut sorted = rows.to_vec();
-    for &f in &feature_idx {
-        let col = &columns[f];
-        sorted.sort_by(|&a, &b| split_value_cmp(col[a], col[b]));
-        let mut left = crit.stats(&[]);
-        let mut right = crit.stats(&sorted);
-        for (i, &r) in sorted.iter().enumerate().take(n - 1) {
-            crit.add(&mut left, r);
-            crit.sub(&mut right, r);
-            let n_left = i + 1;
-            let n_right = n - n_left;
-            let (lo, hi) = (col[sorted[i]], col[sorted[i + 1]]);
-            // Can't split between equal values (NaN counts as equal to
-            // NaN: the missing block at the end is never split up).
-            if lo == hi || (lo.is_nan() && hi.is_nan()) {
-                continue;
-            }
-            if n_left < params.min_samples_leaf || n_right < params.min_samples_leaf {
-                continue;
-            }
-            let child = (n_left as f64 * crit.impurity(&left, n_left)
-                + n_right as f64 * crit.impurity(&right, n_right))
-                / n as f64;
-            let gain = parent_impurity - child;
-            if gain > 1e-12 && best.is_none_or(|(_, _, g)| gain > g) {
-                // Between two finite values the threshold is their
-                // midpoint; at the finite|missing boundary it is the last
-                // finite value itself, which sends every NaN right.
-                let threshold = if hi.is_nan() { lo } else { 0.5 * (lo + hi) };
-                best = Some((f, threshold, gain));
-            }
-        }
-    }
-    best.map(|(feature, threshold, gain)| {
-        let (left_rows, right_rows): (Vec<usize>, Vec<usize>) =
-            rows.iter().partition(|&&r| columns[feature][r] <= threshold);
-        (feature, threshold, gain, left_rows, right_rows)
-    })
 }
 
 /// Histogram best split over (subsampled) features: scan bin boundaries
@@ -672,24 +416,6 @@ fn best_split_hist<C: Criterion>(
     best
 }
 
-/// Grow a tree with the backend selected by `params.split_method`,
-/// building a fresh [`BinnedMatrix`] in histogram mode.
-fn fit_cart<C: Criterion>(
-    columns: &[Vec<f64>],
-    crit: &C,
-    params: &CartParams,
-    rows: Vec<usize>,
-    rng: &mut StdRng,
-) -> Cart {
-    match params.split_method {
-        SplitMethod::Exact => Cart::fit(columns, crit, params, rows, rng),
-        SplitMethod::Histogram { max_bins } => {
-            let binned = BinnedMatrix::build(columns, max_bins);
-            Cart::fit_hist(&binned, crit, params, rows, rng)
-        }
-    }
-}
-
 /// A CART classifier. Fit on column-major features and integer labels.
 #[derive(Debug, Clone)]
 pub struct DecisionTreeClassifier {
@@ -707,10 +433,23 @@ impl DecisionTreeClassifier {
 
     /// Fit on column-major features.
     pub fn fit(&mut self, columns: &[Vec<f64>], y: &[usize], n_classes: usize) {
+        let binned = BinnedMatrix::build(columns, MAX_BINS_LIMIT);
+        self.fit_binned(&binned, y, n_classes, (0..y.len()).collect());
+    }
+
+    /// Fit on the `rows` subset of a prebuilt [`BinnedMatrix`] (repeats
+    /// allowed) — a forest bins its training matrix once and shares it
+    /// across trees.
+    pub fn fit_binned(
+        &mut self,
+        binned: &BinnedMatrix,
+        y: &[usize],
+        n_classes: usize,
+        rows: Vec<usize>,
+    ) {
         let mut rng = fastft_tabular::rngx::rng(self.seed);
         let crit = GiniCriterion { y, n_classes };
-        let rows: Vec<usize> = (0..y.len()).collect();
-        self.tree = Some(fit_cart(columns, &crit, &self.params, rows, &mut rng));
+        self.tree = Some(Cart::fit_hist(binned, &crit, &self.params, rows, &mut rng));
         self.n_classes = n_classes;
     }
 
@@ -756,30 +495,14 @@ impl DecisionTreeRegressor {
 
     /// Fit on column-major features.
     pub fn fit(&mut self, columns: &[Vec<f64>], y: &[f64]) {
-        let rows: Vec<usize> = (0..y.len()).collect();
-        self.fit_rows(columns, y, rows);
+        let binned = BinnedMatrix::build(columns, MAX_BINS_LIMIT);
+        self.fit_binned(&binned, y, (0..y.len()).collect());
     }
 
-    /// Fit restricted to a row subset (used by bagging and boosting).
-    pub fn fit_rows(&mut self, columns: &[Vec<f64>], y: &[f64], rows: Vec<usize>) {
-        let mut rng = fastft_tabular::rngx::rng(self.seed);
-        let crit = VarCriterion { y };
-        self.tree = Some(fit_cart(columns, &crit, &self.params, rows, &mut rng));
-    }
-
-    /// Histogram-mode fit over a prebuilt [`BinnedMatrix`] — bagging and
-    /// boosting bin the training matrix once and share it across trees,
-    /// rounds and classes.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `self` was built with [`SplitMethod::Exact`]: exact
-    /// search needs raw columns, not bins.
-    pub fn fit_rows_prebinned(&mut self, binned: &BinnedMatrix, y: &[f64], rows: Vec<usize>) {
-        assert!(
-            matches!(self.params.split_method, SplitMethod::Histogram { .. }),
-            "fit_rows_prebinned requires SplitMethod::Histogram"
-        );
+    /// Fit on the `rows` subset of a prebuilt [`BinnedMatrix`] (repeats
+    /// allowed) — bagging and boosting bin the training matrix once and
+    /// share it across trees, rounds and classes.
+    pub fn fit_binned(&mut self, binned: &BinnedMatrix, y: &[f64], rows: Vec<usize>) {
         let mut rng = fastft_tabular::rngx::rng(self.seed);
         let crit = VarCriterion { y };
         self.tree = Some(Cart::fit_hist(binned, &crit, &self.params, rows, &mut rng));
@@ -801,38 +524,6 @@ impl DecisionTreeRegressor {
     }
 }
 
-/// Classification tree with a row subset and bootstrap weighting support,
-/// used internally by the random forest.
-pub(crate) fn fit_classifier_rows(
-    columns: &[Vec<f64>],
-    y: &[usize],
-    n_classes: usize,
-    params: &CartParams,
-    rows: Vec<usize>,
-    seed: u64,
-) -> DecisionTreeClassifier {
-    let mut rng = fastft_tabular::rngx::rng(seed);
-    let crit = GiniCriterion { y, n_classes };
-    let tree = fit_cart(columns, &crit, params, rows, &mut rng);
-    DecisionTreeClassifier { params: *params, seed, tree: Some(tree), n_classes }
-}
-
-/// Histogram-mode classification tree over a prebuilt [`BinnedMatrix`]
-/// shared across a forest's trees.
-pub(crate) fn fit_classifier_prebinned(
-    binned: &BinnedMatrix,
-    y: &[usize],
-    n_classes: usize,
-    params: &CartParams,
-    rows: Vec<usize>,
-    seed: u64,
-) -> DecisionTreeClassifier {
-    let mut rng = fastft_tabular::rngx::rng(seed);
-    let crit = GiniCriterion { y, n_classes };
-    let tree = Cart::fit_hist(binned, &crit, params, rows, &mut rng);
-    DecisionTreeClassifier { params: *params, seed, tree: Some(tree), n_classes }
-}
-
 /// Index of the maximum element (first on ties).
 pub fn argmax(xs: &[f64]) -> usize {
     let mut best = 0;
@@ -848,6 +539,7 @@ pub fn argmax(xs: &[f64]) -> usize {
 mod tests {
     use super::*;
     use fastft_tabular::rngx;
+    use fastft_tabular::stats::nan_last_cmp;
 
     fn xor_data(n: usize, seed: u64) -> (Vec<Vec<f64>>, Vec<usize>) {
         let mut rng = rngx::rng(seed);
@@ -957,48 +649,161 @@ mod tests {
         assert_eq!(argmax(&[5.0]), 0);
     }
 
-    fn exact_params() -> CartParams {
-        CartParams { split_method: SplitMethod::Exact, ..CartParams::default() }
+    /// Exact CART split search over sorted rows: the textbook procedure,
+    /// kept as the oracle the histogram backend is checked against. It
+    /// shares the production criterion accumulators, feature sampling and
+    /// tie-breaking (ascending scan, first strictly greater gain), so the
+    /// two backends pick the same partitions whenever the bins cover every
+    /// distinct value.
+    fn fit_exact<C: Criterion>(
+        columns: &[Vec<f64>],
+        crit: &C,
+        params: &CartParams,
+        rows: Vec<usize>,
+        seed: u64,
+    ) -> Cart {
+        let mut rng = rngx::rng(seed);
+        let mut tree = Cart { nodes: Vec::new(), importances: vec![0.0; columns.len()] };
+        let n_total = rows.len();
+        grow_exact(&mut tree, columns, &mut Grow { crit, params, n_total, rng: &mut rng }, rows, 0);
+        tree.normalise_importances();
+        tree
+    }
+
+    fn grow_exact<C: Criterion>(
+        tree: &mut Cart,
+        columns: &[Vec<f64>],
+        g: &mut Grow<'_, C>,
+        rows: Vec<usize>,
+        depth: usize,
+    ) -> usize {
+        let n = rows.len();
+        let mut node = vec![0.0; g.crit.hist_width()];
+        for &r in &rows {
+            g.crit.hist_add(&mut node, r);
+        }
+        let impurity = g.crit.hist_impurity(&node);
+        let make_leaf =
+            depth >= g.params.max_depth || n < g.params.min_samples_split || impurity <= 1e-12;
+        if !make_leaf {
+            if let Some((feature, threshold, gain)) =
+                best_split_exact(columns, g, &rows, &node, impurity)
+            {
+                tree.importances[feature] += gain * n as f64 / g.n_total as f64;
+                let (left_rows, right_rows): (Vec<usize>, Vec<usize>) =
+                    rows.iter().partition(|&&r| columns[feature][r] <= threshold);
+                let idx = tree.nodes.len();
+                tree.nodes.push(Node::Split { feature, threshold, left: 0, right: 0 });
+                let left = grow_exact(tree, columns, g, left_rows, depth + 1);
+                let right = grow_exact(tree, columns, g, right_rows, depth + 1);
+                tree.nodes[idx] = Node::Split { feature, threshold, left, right };
+                return idx;
+            }
+        }
+        tree.nodes.push(Node::Leaf { value: g.crit.hist_leaf(&node) });
+        tree.nodes.len() - 1
+    }
+
+    /// Best `(feature, threshold, impurity_decrease)` over every boundary
+    /// between distinct values of the (subsampled) features.
+    fn best_split_exact<C: Criterion>(
+        columns: &[Vec<f64>],
+        g: &mut Grow<'_, C>,
+        rows: &[usize],
+        node: &[f64],
+        parent_impurity: f64,
+    ) -> Option<(usize, f64, f64)> {
+        let (crit, params, n) = (g.crit, g.params, rows.len());
+        let mut best: Option<(usize, f64, f64)> = None;
+        let mut sorted = rows.to_vec();
+        let mut left = vec![0.0; node.len()];
+        let mut right = vec![0.0; node.len()];
+        for f in sample_features(params, columns.len(), g.rng) {
+            let col = &columns[f];
+            sorted.sort_by(|&a, &b| nan_last_cmp(&col[a], &col[b]));
+            left.fill(0.0);
+            for i in 0..n - 1 {
+                crit.hist_add(&mut left, sorted[i]);
+                for (r, (p, l)) in right.iter_mut().zip(node.iter().zip(&left)) {
+                    *r = p - l;
+                }
+                let (lo, hi) = (col[sorted[i]], col[sorted[i + 1]]);
+                // No split between equal values; the NaN block at the end
+                // is one tie, so it always goes right.
+                let (n_left, n_right) = (i + 1, n - i - 1);
+                if nan_last_cmp(&lo, &hi).is_eq()
+                    || n_left < params.min_samples_leaf
+                    || n_right < params.min_samples_leaf
+                {
+                    continue;
+                }
+                let child = (n_left as f64 * crit.hist_impurity(&left)
+                    + n_right as f64 * crit.hist_impurity(&right))
+                    / n as f64;
+                let gain = parent_impurity - child;
+                if gain > 1e-12 && best.is_none_or(|(_, _, g)| gain > g) {
+                    // Midpoint between finite values; at the finite|NaN
+                    // boundary the last finite value, sending NaN right.
+                    let threshold = if hi.is_nan() { lo } else { 0.5 * (lo + hi) };
+                    best = Some((f, threshold, gain));
+                }
+            }
+        }
+        best
     }
 
     #[test]
     fn exact_split_is_row_order_independent_with_nans() {
-        // Regression test: the old exact path compared values with
-        // `partial_cmp(..).unwrap_or(Equal)`, so the sort placed NaNs
-        // wherever the incoming row order happened to leave them and the
-        // fitted tree depended on row *order*, not just the row *set*.
+        // Sorting with `partial_cmp(..).unwrap_or(Equal)` placed NaNs
+        // wherever the incoming row order left them, so a tree depended on
+        // row *order*, not just the row *set*. Both the oracle and the
+        // histogram tree must be order-independent.
         let x = vec![f64::NAN, 1.0, f64::NAN, 2.0, 3.0, f64::NAN, 4.0, 5.0, 6.0, 7.0];
         let y = vec![1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 5.0, 5.0, 5.0, 5.0];
         let cols = vec![x];
-        let params = CartParams { min_samples_leaf: 1, ..exact_params() };
+        let params = CartParams { min_samples_leaf: 1, ..CartParams::default() };
+        let crit = VarCriterion { y: &y };
+        let forward_rows: Vec<usize> = (0..y.len()).collect();
+        let reversed_rows: Vec<usize> = (0..y.len()).rev().collect();
 
-        let mut forward = DecisionTreeRegressor::new(params, 0);
-        forward.fit_rows(&cols, &y, (0..y.len()).collect());
-        let mut reversed = DecisionTreeRegressor::new(params, 0);
-        reversed.fit_rows(&cols, &y, (0..y.len()).rev().collect());
+        let forward = fit_exact(&cols, &crit, &params, forward_rows.clone(), 0);
+        let reversed = fit_exact(&cols, &crit, &params, reversed_rows.clone(), 0);
+        let binned = BinnedMatrix::build(&cols, MAX_BINS_LIMIT);
+        let mut hist_forward = DecisionTreeRegressor::new(params, 0);
+        hist_forward.fit_binned(&binned, &y, forward_rows);
+        let mut hist_reversed = DecisionTreeRegressor::new(params, 0);
+        hist_reversed.fit_binned(&binned, &y, reversed_rows);
 
         for probe in [f64::NAN, 0.5, 1.5, 3.5, 4.5, 6.5] {
-            let a = forward.predict_row(&[probe]);
-            let b = reversed.predict_row(&[probe]);
+            let a = forward.predict_row(&[probe])[0];
+            let b = reversed.predict_row(&[probe])[0];
             assert_eq!(a.to_bits(), b.to_bits(), "probe {probe} differs: {a} vs {b}");
+            let c = hist_forward.predict_row(&[probe]);
+            let d = hist_reversed.predict_row(&[probe]);
+            assert_eq!(c.to_bits(), d.to_bits(), "probe {probe} differs: {c} vs {d}");
         }
     }
 
     #[test]
     fn nan_rows_route_right_in_both_modes() {
         // Feature is informative except for NaN rows, which all carry the
-        // high label; both backends must learn "missing -> right branch".
+        // high label; the histogram tree and the exact oracle must both
+        // learn "missing -> right branch".
         let mut x: Vec<f64> = (0..40).map(|i| i as f64).collect();
         let mut y: Vec<usize> = (0..40).map(|i| usize::from(i >= 20)).collect();
         for _ in 0..10 {
             x.push(f64::NAN);
             y.push(1);
         }
-        for params in [exact_params(), CartParams::default()] {
-            let mut t = DecisionTreeClassifier::new(params, 0);
-            t.fit(&[x.clone()], &y, 2);
-            assert_eq!(t.predict_row(&[f64::NAN]), 1, "{:?}", params.split_method);
-            assert_eq!(t.predict_row(&[3.0]), 0, "{:?}", params.split_method);
+        let cols = vec![x];
+        let params = CartParams::default();
+        let mut hist = DecisionTreeClassifier::new(params, 0);
+        hist.fit(&cols, &y, 2);
+        let crit = GiniCriterion { y: &y, n_classes: 2 };
+        let exact = fit_exact(&cols, &crit, &params, (0..y.len()).collect(), 0);
+        for (name, tree) in [("histogram", hist.tree.as_ref().unwrap()), ("exact", &exact)] {
+            assert_eq!(argmax(tree.predict_row(&[f64::NAN])), 1, "{name}");
+            assert_eq!(argmax(tree.predict_row(&[3.0])), 0, "{name}");
         }
     }
 
@@ -1010,16 +815,27 @@ mod tests {
         // ascending / first-strictly-greater tie-breaking. The two trees
         // partition the training set identically (interior thresholds may
         // sit at different points of the same value gap, so only training
-        // rows — never off-grid probes — are compared).
-        let (cols, y) = xor_data(200, 7);
-        let mut exact = DecisionTreeClassifier::new(exact_params(), 0);
-        exact.fit(&cols, &y, 2);
-        let mut hist = DecisionTreeClassifier::new(CartParams::default(), 0);
-        hist.fit(&cols, &y, 2);
+        // rows — never off-grid probes — are compared). The small-integer
+        // grid makes many candidate splits tie on gain, which pins the
+        // tie-breaking too.
+        let grid_cols: Vec<Vec<f64>> = vec![
+            (0..120).map(|i| f64::from(i % 6)).collect(),
+            (0..120).map(|i| f64::from(i % 5)).collect(),
+        ];
+        let grid_y: Vec<usize> = (0..120).map(|i| usize::from((i % 6 + i % 5) % 3 == 0)).collect();
+        let subsampled = CartParams { max_features: Some(1), ..CartParams::default() };
+        for (cols, y) in [xor_data(200, 7), (grid_cols, grid_y)] {
+            for params in [CartParams::default(), subsampled] {
+                let crit = GiniCriterion { y: &y, n_classes: 2 };
+                let exact = fit_exact(&cols, &crit, &params, (0..y.len()).collect(), 0);
+                let mut hist = DecisionTreeClassifier::new(params, 0);
+                hist.fit(&cols, &y, 2);
 
-        assert_eq!(exact.n_nodes(), hist.n_nodes());
-        for (i, row) in cols[0].iter().zip(&cols[1]).map(|(&a, &b)| [a, b]).enumerate() {
-            assert_eq!(exact.predict_proba_row(&row), hist.predict_proba_row(&row), "row {i}");
+                assert_eq!(exact.n_nodes(), hist.n_nodes());
+                for (i, row) in cols[0].iter().zip(&cols[1]).map(|(&a, &b)| [a, b]).enumerate() {
+                    assert_eq!(exact.predict_row(&row), hist.predict_proba_row(&row), "row {i}");
+                }
+            }
         }
     }
 
@@ -1027,12 +843,9 @@ mod tests {
     fn histogram_regressor_learns_step_with_coarse_bins() {
         let cols = vec![(0..2000).map(|i| (i % 500) as f64).collect::<Vec<_>>()];
         let y: Vec<f64> = cols[0].iter().map(|&v| if v < 250.0 { 1.0 } else { 5.0 }).collect();
-        let params = CartParams {
-            split_method: SplitMethod::Histogram { max_bins: 16 },
-            ..CartParams::default()
-        };
-        let mut t = DecisionTreeRegressor::new(params, 0);
-        t.fit(&cols, &y);
+        let binned = BinnedMatrix::build(&cols, 16);
+        let mut t = DecisionTreeRegressor::new(CartParams::default(), 0);
+        t.fit_binned(&binned, &y, (0..y.len()).collect());
         assert!((t.predict_row(&[10.0]) - 1.0).abs() < 0.2);
         assert!((t.predict_row(&[400.0]) - 5.0).abs() < 0.2);
     }
@@ -1042,15 +855,12 @@ mod tests {
         let (cols, y_cls) = xor_data(150, 9);
         let y: Vec<f64> = y_cls.iter().map(|&c| c as f64).collect();
         let params = CartParams::default();
-        let SplitMethod::Histogram { max_bins } = params.split_method else {
-            panic!("default must be histogram")
-        };
-        let binned = BinnedMatrix::build(&cols, max_bins);
+        let binned = BinnedMatrix::build(&cols, MAX_BINS_LIMIT);
 
         let mut auto = DecisionTreeRegressor::new(params, 42);
         auto.fit(&cols, &y);
         let mut pre = DecisionTreeRegressor::new(params, 42);
-        pre.fit_rows_prebinned(&binned, &y, (0..y.len()).collect());
+        pre.fit_binned(&binned, &y, (0..y.len()).collect());
 
         for row in cols[0].iter().zip(&cols[1]).map(|(&a, &b)| [a, b]) {
             assert_eq!(auto.predict_row(&row).to_bits(), pre.predict_row(&row).to_bits());

@@ -27,7 +27,6 @@ pub mod metrics;
 pub mod mi;
 pub mod noise;
 pub mod persist;
-pub mod profile;
 pub mod rngx;
 pub mod split;
 pub mod stats;

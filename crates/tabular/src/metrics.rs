@@ -4,6 +4,8 @@
 //! Regression: 1-RAE, 1-MAE, 1-MSE (higher is better, matching Table I).
 //! Detection: AUC (plus precision/F1 reusing the classification paths).
 
+use crate::stats::nan_last_cmp;
+
 /// Which scalar score an evaluation reports. All metrics are oriented so that
 /// **higher is better**, as in the paper's tables.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -228,14 +230,15 @@ pub fn auc(y_true: &[usize], scores: &[f64]) -> f64 {
     if n_pos == 0 || n_neg == 0 {
         return 0.5; // undefined; conventional fallback
     }
+    let cmp = |a: usize, b: usize| nan_last_cmp(&scores[a], &scores[b]);
     let mut order: Vec<usize> = (0..scores.len()).collect();
-    order.sort_by(|&a, &b| scores[a].partial_cmp(&scores[b]).unwrap_or(std::cmp::Ordering::Equal));
-    // Midranks over tied score groups.
+    order.sort_by(|&a, &b| cmp(a, b));
+    // Midranks over tied score groups (NaN scores rank last, as one group).
     let mut rank_sum_pos = 0.0;
     let mut i = 0;
     while i < order.len() {
         let mut j = i;
-        while j + 1 < order.len() && scores[order[j + 1]] == scores[order[i]] {
+        while j + 1 < order.len() && cmp(order[j + 1], order[i]).is_eq() {
             j += 1;
         }
         let midrank = (i + j) as f64 / 2.0 + 1.0; // ranks are 1-based
@@ -359,6 +362,25 @@ mod tests {
         let y = vec![1, 0, 1, 0];
         let s = vec![0.8, 0.6, 0.4, 0.2];
         assert!((auc(&y, &s) - 0.75).abs() < 1e-12);
+    }
+
+    #[test]
+    fn auc_with_nan_scores_is_order_independent() {
+        // 100 scores with 15 NaNs, which rank last as one tied group.
+        let y: Vec<usize> = (0..100).map(|i| usize::from(i % 3 == 0)).collect();
+        let s: Vec<f64> =
+            (0..100).map(|i| if i % 7 == 0 { f64::NAN } else { f64::from(i * 37 % 101) }).collect();
+        let expected = auc(&y, &s);
+        assert!(expected.is_finite());
+        let reversed: Vec<usize> = (0..100).rev().collect();
+        let interleaved: Vec<usize> = (0..100).map(|i| (i * 43) % 100).collect();
+        for perm in [reversed, interleaved] {
+            let yp: Vec<usize> = perm.iter().map(|&i| y[i]).collect();
+            let sp: Vec<f64> = perm.iter().map(|&i| s[i]).collect();
+            assert_eq!(auc(&yp, &sp).to_bits(), expected.to_bits());
+        }
+        // All-NaN scores are one tie: chance level.
+        assert_eq!(auc(&[0, 1, 0, 1], &[f64::NAN; 4]), 0.5);
     }
 
     #[test]

@@ -6,13 +6,16 @@
 //! each continuous variable into `n_bins` roughly equal-population bins, then
 //! compute discrete MI from the joint histogram.
 
+use crate::stats::nan_last_cmp;
+
 /// Default number of quantile bins for continuous variables.
 pub const DEFAULT_BINS: usize = 16;
 
 /// Discretise a continuous column into equal-frequency bins.
 ///
 /// Ties at bin boundaries are kept in the lower bin; constant columns map to
-/// a single bin. Returns bin indices in `0..n_bins` (fewer distinct values
+/// a single bin, and NaN values rank after every finite value and share one
+/// bin. Returns bin indices in `0..n_bins` (fewer distinct values
 /// than bins yields fewer populated bins).
 pub fn quantile_bins(values: &[f64], n_bins: usize) -> Vec<usize> {
     assert!(n_bins >= 1);
@@ -20,16 +23,17 @@ pub fn quantile_bins(values: &[f64], n_bins: usize) -> Vec<usize> {
     if n == 0 {
         return Vec::new();
     }
+    let cmp = |a: usize, b: usize| nan_last_cmp(&values[a], &values[b]);
     let mut order: Vec<usize> = (0..n).collect();
-    order.sort_by(|&a, &b| values[a].partial_cmp(&values[b]).unwrap_or(std::cmp::Ordering::Equal));
+    order.sort_by(|&a, &b| cmp(a, b));
     let mut bins = vec![0usize; n];
     let per = (n as f64 / n_bins as f64).max(1.0);
     let mut i = 0;
     while i < n {
-        // All entries with the same value must land in the same bin so the
-        // estimator is invariant to sort tie order.
+        // All entries with the same value (NaN included) must land in the
+        // same bin so the estimator is invariant to sort tie order.
         let mut j = i;
-        while j + 1 < n && values[order[j + 1]] == values[order[i]] {
+        while j + 1 < n && cmp(order[j + 1], order[i]).is_eq() {
             j += 1;
         }
         let bin = ((i as f64 / per) as usize).min(n_bins - 1);
@@ -153,6 +157,25 @@ mod tests {
         assert!(bins[..50].iter().all(|&b| b == bins[0]));
         assert!(bins[50..].iter().all(|&b| b == bins[50]));
         assert_ne!(bins[0], bins[50]);
+    }
+
+    #[test]
+    fn nan_values_bin_the_same_in_any_order() {
+        let base: Vec<f64> =
+            (0..100).map(|i| if i % 7 == 0 { f64::NAN } else { f64::from(i * 37 % 101) }).collect();
+        let expected = quantile_bins(&base, 8);
+        let nan_bin = expected[0];
+        assert!(base.iter().zip(&expected).all(|(v, &b)| !v.is_nan() || b == nan_bin));
+        // Each permutation lists, per position, the index into `base`.
+        let reversed: Vec<usize> = (0..100).rev().collect();
+        let interleaved: Vec<usize> = (0..100).map(|i| (i * 43) % 100).collect();
+        for perm in [reversed, interleaved] {
+            let values: Vec<f64> = perm.iter().map(|&i| base[i]).collect();
+            let bins = quantile_bins(&values, 8);
+            for (k, &i) in perm.iter().enumerate() {
+                assert_eq!(bins[k], expected[i], "value {}", base[i]);
+            }
+        }
     }
 
     #[test]

@@ -12,8 +12,16 @@ pub const N_STATS: usize = 7;
 /// Dimension of the fixed cluster / feature-set representation.
 pub const REP_DIM: usize = N_STATS * N_STATS;
 
+/// Total order on `f64` with every NaN after every other value and equal
+/// to any other NaN; non-NaN values keep their `partial_cmp` order (so
+/// `-0.0` and `0.0` tie). Sorting with it never panics and places NaN in
+/// one block at the end whatever the input order.
+pub fn nan_last_cmp(a: &f64, b: &f64) -> std::cmp::Ordering {
+    a.partial_cmp(b).unwrap_or_else(|| a.is_nan().cmp(&b.is_nan()))
+}
+
 /// Seven descriptive statistics of a value vector:
-/// `[mean, std, min, q1, median, q3, max]`.
+/// `[mean, std, min, q1, median, q3, max]` (NaN values sort last).
 pub fn describe(values: &[f64]) -> [f64; N_STATS] {
     if values.is_empty() {
         return [0.0; N_STATS];
@@ -22,7 +30,7 @@ pub fn describe(values: &[f64]) -> [f64; N_STATS] {
     let mean = values.iter().sum::<f64>() / n;
     let var = values.iter().map(|v| (v - mean) * (v - mean)).sum::<f64>() / n;
     let mut sorted: Vec<f64> = values.to_vec();
-    sorted.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
+    sorted.sort_by(nan_last_cmp);
     [
         mean,
         var.sqrt(),
@@ -98,6 +106,39 @@ mod tests {
         assert_eq!(percentile_sorted(&s, 0.0), 1.0);
         assert_eq!(percentile_sorted(&s, 1.0), 9.0);
         assert_eq!(percentile_sorted(&s, 0.5), 5.0);
+    }
+
+    #[test]
+    fn nan_last_cmp_orders_nan_after_everything() {
+        use std::cmp::Ordering::*;
+        let nan = f64::NAN;
+        assert_eq!(nan_last_cmp(&nan, &nan), Equal);
+        assert_eq!(nan_last_cmp(&nan, &f64::INFINITY), Greater);
+        assert_eq!(nan_last_cmp(&f64::NEG_INFINITY, &nan), Less);
+        assert_eq!(nan_last_cmp(&-0.0, &0.0), Equal);
+        assert_eq!(nan_last_cmp(&1.0, &2.0), Less);
+    }
+
+    #[test]
+    fn describe_with_nans_is_order_independent() {
+        // 100 values with 15 NaNs: `partial_cmp(..).unwrap_or(Equal)` is
+        // not a total order, and sorting with it may panic on such input.
+        let base: Vec<f64> =
+            (0..100).map(|i| if i % 7 == 0 { f64::NAN } else { f64::from(i * 37 % 101) }).collect();
+        assert_eq!(base.iter().filter(|v| v.is_nan()).count(), 15);
+        let reversed: Vec<f64> = base.iter().rev().copied().collect();
+        let nan_first: Vec<f64> = {
+            let (mut nans, rest): (Vec<f64>, Vec<f64>) = base.iter().partition(|v| v.is_nan());
+            nans.extend(rest);
+            nans
+        };
+        let bits = |v: &[f64]| describe(v).map(f64::to_bits);
+        for order in [&reversed, &nan_first] {
+            assert_eq!(bits(order), bits(&base));
+        }
+        // NaN sorts last: the minimum is finite, the maximum is NaN.
+        let d = describe(&base);
+        assert!(d[2].is_finite() && d[6].is_nan(), "{d:?}");
     }
 
     #[test]

@@ -95,3 +95,36 @@ fn constant_columns_complete_normally() {
     assert!(result.best_score >= result.base_score);
     assert!(result.records.iter().all(|r| r.score.is_finite() && r.reward.is_finite()));
 }
+
+#[test]
+fn fewer_rows_than_folds_is_an_evaluation_error() {
+    // 3 rows cannot fill 5 folds; this used to panic inside `KFold::new`.
+    let data = Dataset::new(
+        "tiny",
+        vec![Column::new("a", vec![1.0, 2.0, 3.0])],
+        vec![0.5, 1.5, 2.5],
+        TaskType::Regression,
+        0,
+    )
+    .unwrap();
+    let five = Evaluator { folds: 5, ..Evaluator::default() };
+    let err = five.evaluate(&data).unwrap_err();
+    assert!(matches!(&err, FastFtError::Evaluation(m) if m.contains("3 rows")), "{err:?}");
+    let cfg = FastFtConfig { evaluator: five, ..cfg() };
+    let err = FastFt::new(cfg).fit(&data).unwrap_err();
+    assert!(matches!(err, FastFtError::Evaluation(_)), "{err:?}");
+}
+
+#[test]
+fn empty_stratified_fold_is_an_evaluation_error() {
+    // Two classes of 3 rows dealt into 5 stratified folds leave folds 3
+    // and 4 empty; averaging them in used to score 0.133 silently.
+    let data = classification(
+        vec![Column::new("a", vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0])],
+        vec![0.0, 0.0, 0.0, 1.0, 1.0, 1.0],
+    );
+    let err = Evaluator { folds: 5, ..Evaluator::default() }.evaluate(&data).unwrap_err();
+    assert!(matches!(&err, FastFtError::Evaluation(m) if m.contains("empty")), "{err:?}");
+    // Three folds fit: every fold gets one row of each class.
+    assert!(Evaluator { folds: 3, ..Evaluator::default() }.evaluate(&data).is_ok());
+}

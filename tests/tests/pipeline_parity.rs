@@ -133,13 +133,15 @@ fn checkpoint_hash(path: &std::path::Path) -> (u64, usize) {
 // The two checkpoint constants were re-captured for checkpoint format
 // version 2, which dropped the `batched_scoring` flag (1 byte) and the
 // snapshot's prefix-cache counter baseline (96 bytes); those counters now
-// travel in the snapshot's telemetry. The run constants are unchanged.
+// travel in the snapshot's telemetry. They were re-captured again for
+// version 3, which dropped the evaluator's split-method field (a `u8` tag
+// and a `u32` bin-count slot: 5 bytes). The run constants are unchanged.
 
 const GOLDEN_BASE_SCORE: u64 = 0x3fe47d851b84ad0e;
 const GOLDEN_BEST_SCORE: u64 = 0x3fe47d851b84ad0e;
 const GOLDEN_RESULT_HASH: u64 = 0xf3d4f6f1bcf534cc;
-const GOLDEN_CKPT_HASH: u64 = 0xb342d30f31305be3;
-const GOLDEN_CKPT_LEN: usize = 1789205;
+const GOLDEN_CKPT_HASH: u64 = 0x46866294a37a0b56;
+const GOLDEN_CKPT_LEN: usize = 1789200;
 
 #[test]
 fn golden_trace_matches_pre_refactor_engine() {
