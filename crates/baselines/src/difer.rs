@@ -15,6 +15,7 @@ use fastft_core::predictor::{PerformancePredictor, PredictorConfig};
 use fastft_core::sequence::{encode_feature_set, TokenVocab};
 use fastft_core::{Expr, FeatureSet, Op};
 use fastft_tabular::rngx::{self, StdRng};
+use fastft_tabular::stats::nan_last_cmp;
 use fastft_tabular::{Dataset, FastFtResult};
 
 /// Embedding-space greedy feature search.
@@ -73,7 +74,8 @@ impl FeatureTransformMethod for Difer {
                     (predictor.predict(&seq), e)
                 })
                 .collect();
-            ranked.sort_by(|a, b| b.0.partial_cmp(&a.0).unwrap_or(std::cmp::Ordering::Equal));
+            // Descending predicted score, NaN last.
+            ranked.sort_by(|a, b| nan_last_cmp(&-a.0, &-b.0));
             for (_, e) in ranked.into_iter().take(self.survivors) {
                 try_add_expr(&mut fs, e);
             }

@@ -16,6 +16,7 @@
 
 use crate::common::{FeatureTransformMethod, RunContext, RunScope, TransformOutcome};
 use fastft_core::{Expr, FeatureSet, Op};
+use fastft_tabular::stats::nan_last_cmp;
 use fastft_tabular::{mi, rngx, Dataset, FastFtResult};
 
 /// Feature boosting + two-stage pruning.
@@ -110,7 +111,8 @@ impl FeatureTransformMethod for OpenFe {
                     (gain, e)
                 })
                 .collect();
-            scored.sort_by(|a, b| b.0.partial_cmp(&a.0).unwrap_or(std::cmp::Ordering::Equal));
+            // Descending gain, NaN last.
+            scored.sort_by(|a, b| nan_last_cmp(&-a.0, &-b.0));
             let keep = (scored.len() / 2).max(self.stage2_survivors);
             scored.truncate(keep);
             pool = scored.into_iter().map(|(_, e)| e).collect();

@@ -6,6 +6,7 @@
 use crate::common::{FeatureTransformMethod, RunContext, RunScope, TransformOutcome};
 use fastft_core::{Expr, FeatureSet, Op};
 use fastft_tabular::rngx::{self, StdRng};
+use fastft_tabular::stats::nan_last_cmp;
 use fastft_tabular::{Dataset, FastFtResult};
 
 /// Transformation-graph search baseline.
@@ -40,8 +41,9 @@ impl FeatureTransformMethod for Ttg {
         let mut frontier = vec![(root_score, root.clone())];
         let mut best = (root_score, root);
         for _ in 0..self.expansions {
-            // Pop the best frontier node.
-            frontier.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap_or(std::cmp::Ordering::Equal));
+            // Pop the best frontier node: ascending score with NaN first,
+            // so a NaN-scored node is never taken as the best.
+            frontier.sort_by(|a, b| nan_last_cmp(&-b.0, &-a.0));
             let Some((_, node)) = frontier.pop() else { break };
             for _ in 0..self.ops_per_expansion {
                 let op = Op::ALL[rng.gen_range(0..Op::COUNT)];

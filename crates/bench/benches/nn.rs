@@ -41,7 +41,7 @@ fn time_us<F: FnMut()>(reps: usize, mut f: F) -> f64 {
             t.elapsed().as_secs_f64() * 1e6
         })
         .collect();
-    samples.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
+    samples.sort_by(f64::total_cmp);
     samples[samples.len() / 2]
 }
 

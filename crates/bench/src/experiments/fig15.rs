@@ -12,9 +12,7 @@ pub fn run(scale: Scale) {
     // Find the reward peaks: the top-5 steps by reward that added features.
     let mut peaks: Vec<usize> =
         (0..r.records.len()).filter(|&i| !r.records[i].new_exprs.is_empty()).collect();
-    peaks.sort_by(|&a, &b| {
-        r.records[b].reward.partial_cmp(&r.records[a].reward).unwrap_or(std::cmp::Ordering::Equal)
-    });
+    peaks.sort_by(|&a, &b| r.records[b].reward.total_cmp(&r.records[a].reward));
     peaks.truncate(5);
     peaks.sort_unstable();
 

@@ -25,7 +25,7 @@ pub fn run(scale: Scale) {
                 (r.name.to_string(), r.score, r.total_time_secs(), r.downstream_evals)
             });
         // Sort by score so the winner is at the top.
-        rows.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap_or(std::cmp::Ordering::Equal));
+        rows.sort_by(|a, b| b.1.total_cmp(&a.1));
         for (n, s, t, e) in rows {
             table.row([n, format!("{s:.3}"), format!("{t:.2}"), format!("{e}")]);
         }

@@ -18,7 +18,7 @@ fn top10(data: &Dataset) -> (Vec<(String, f64)>, f64) {
         .zip(rf.feature_importances())
         .map(|(c, &imp)| (c.name.clone(), imp))
         .collect();
-    ranked.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap_or(std::cmp::Ordering::Equal));
+    ranked.sort_by(|a, b| b.1.total_cmp(&a.1));
     ranked.truncate(10);
     let sum = ranked.iter().map(|(_, i)| i).sum();
     (ranked, sum)

@@ -464,6 +464,23 @@ mod tests {
     }
 
     #[test]
+    fn td_error_formula() {
+        let mut agents = CascadingAgents::new(RlKind::ActorCritic, 8, 0.05, 5);
+        agents.gamma = 0.5;
+        let mem = dummy_mem(2.0);
+        let Learner::Ac { critic, .. } = &mut agents.learner else { unreachable!() };
+        for _ in 0..300 {
+            critic.update(&mem.state, 1.0);
+            critic.update(&mem.next_state, 4.0);
+        }
+        let (v, v_next) = (critic.value(&mem.state), critic.value(&mem.next_state));
+        let delta = agents.td_error(&mem);
+        assert_eq!(delta, 2.0 + 0.5 * v_next - v);
+        // δ = 2 + 0.5·4 − 1 = 3
+        assert!((delta - 3.0).abs() < 0.2, "delta {delta}");
+    }
+
+    #[test]
     fn td_error_uses_reward() {
         let agents = CascadingAgents::new(RlKind::ActorCritic, 8, 0.01, 5);
         let lo = agents.td_error(&dummy_mem(0.0));

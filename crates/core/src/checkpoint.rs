@@ -16,7 +16,7 @@
 //! score. The counters accrued before the checkpoint travel in the
 //! telemetry.
 //!
-//! Format: magic `FFTCKPT1`, a `u32` version (currently 3), then the
+//! Format: magic `FFTCKPT1`, a `u32` version (currently 4), then the
 //! configuration and snapshot in the workspace-wide [`Persist`] layout
 //! (little-endian, `f64` as IEEE-754 bits, so floats survive exactly).
 //! Every component encodes itself next to its own definition — this module
@@ -32,6 +32,7 @@ use crate::agents::{AgentsState, MemoryUnit};
 use crate::config::FastFtConfig;
 use crate::engine::{StepRecord, Telemetry};
 use fastft_nn::NetState;
+use fastft_rl::PrioritizedReplay;
 use fastft_tabular::persist::{Persist, PersistResult, Reader, Writer};
 use fastft_tabular::{Dataset, FastFtError, FastFtResult, TaskType};
 use std::io::Write as _;
@@ -43,13 +44,10 @@ pub const MAGIC: [u8; 8] = *b"FFTCKPT1";
 /// any other version with a typed error instead of misparsing it.
 /// Version 2 dropped the configuration flag that switched off batched
 /// scoring and the snapshot's separate prefix-cache counter baseline;
-/// version 3 dropped the evaluator's split-method field.
-pub const VERSION: u32 = 3;
-
-/// Replay-buffer contents in slot order, matching the configured variant —
-/// the generic [`fastft_rl::ReplayState`] instantiated with the engine's
-/// [`MemoryUnit`].
-pub type ReplayState = fastft_rl::ReplayState<MemoryUnit>;
+/// version 3 dropped the evaluator's split-method field; version 4 dropped
+/// the replay buffer's variant tag (there is one buffer type, and the
+/// sampling policy comes from the configuration).
+pub const VERSION: u32 = 4;
 
 /// Everything the engine needs to continue a run from an episode boundary.
 #[derive(Debug, Clone)]
@@ -84,8 +82,8 @@ pub struct Snapshot {
     /// Novelty-estimator weights (the frozen target is rebuilt from the
     /// seed).
     pub novelty: NetState,
-    /// Replay-buffer contents.
-    pub replay: ReplayState,
+    /// The replay buffer (slot order, priorities, write cursor).
+    pub replay: PrioritizedReplay<MemoryUnit>,
     /// Novelty-tracker embeddings in observation order.
     pub tracker_history: Vec<Vec<f64>>,
     /// Novelty-tracker canonical keys (sorted for determinism).
@@ -257,8 +255,8 @@ mod tests {
         }
     }
 
-    fn sample_snapshot() -> Snapshot {
-        let mem = MemoryUnit {
+    fn sample_mem() -> MemoryUnit {
+        MemoryUnit {
             state: vec![0.0; CLUSTER_REP_DIM],
             next_state: vec![1.0; CLUSTER_REP_DIM],
             reward: 0.25,
@@ -268,7 +266,12 @@ mod tests {
             next_head_candidates: vec![],
             seq: vec![1, 2, 3],
             perf: 0.75,
-        };
+        }
+    }
+
+    fn sample_snapshot() -> Snapshot {
+        let mut replay = PrioritizedReplay::new(16);
+        replay.push(sample_mem(), 0.25);
         Snapshot {
             data_fingerprint: 0xDEAD_BEEF,
             next_episode: 2,
@@ -308,12 +311,7 @@ mod tests {
             },
             predictor: sample_net(),
             novelty: sample_net(),
-            replay: ReplayState::Prioritized {
-                capacity: 16,
-                write: 1,
-                items: vec![mem],
-                priorities: vec![0.251],
-            },
+            replay,
             tracker_history: vec![vec![0.1, 0.2]],
             tracker_seen: vec!["a".into(), "b".into()],
             eval_cache: vec![("k1".into(), 0.6), ("k2".into(), 0.7)],
@@ -364,7 +362,7 @@ mod tests {
 
     #[test]
     fn decode_rejects_version_1_files() {
-        for old in [1u32, 2] {
+        for old in [1u32, 2, 3] {
             let mut bytes = encode(&FastFtConfig::quick(), &sample_snapshot());
             bytes[MAGIC.len()..MAGIC.len() + 4].copy_from_slice(&old.to_le_bytes());
             match decode(&bytes) {
@@ -433,7 +431,7 @@ mod tests {
             tail: QAgentState::default(),
             eps_step: 17,
         };
-        snap.replay = ReplayState::Uniform { capacity: 8, write: 0, items: vec![] };
+        snap.replay = PrioritizedReplay::new(8);
         let (cfg2, snap2) = decode(&encode(&cfg, &snap)).unwrap();
         assert_eq!(cfg2.rl, cfg.rl);
         assert_eq!(cfg2.encoder, cfg.encoder);
@@ -443,14 +441,58 @@ mod tests {
         assert_eq!(snap2.replay, snap.replay);
     }
 
+    /// Encode the sample snapshot with its one-item replay section
+    /// rewritten field by field (capacity, write cursor, items,
+    /// priorities), so a test can lay out a buffer `push` never produces.
+    fn encode_with_replay(capacity: usize, write: usize, priority: f64) -> Vec<u8> {
+        let snap = sample_snapshot();
+        let bytes = encode(&FastFtConfig::quick(), &snap);
+        let mut w = Writer::new();
+        snap.replay.persist(&mut w);
+        let section = w.into_bytes();
+        let at = bytes.windows(section.len()).position(|s| s == section).expect("replay section");
+        let mut w = Writer::new();
+        capacity.persist(&mut w);
+        write.persist(&mut w);
+        vec![sample_mem()].persist(&mut w);
+        vec![priority].persist(&mut w);
+        [&bytes[..at], &w.into_bytes(), &bytes[at + section.len()..]].concat()
+    }
+
+    fn assert_replay_rejected(bytes: &[u8], expected: &str) {
+        match decode(bytes) {
+            Err(FastFtError::Parse(msg)) => assert!(msg.contains(expected), "{msg}"),
+            other => panic!("expected a parse error ({expected}), got {other:?}"),
+        }
+    }
+
     #[test]
     fn decode_rejects_inconsistent_replay_buffer() {
-        let cfg = FastFtConfig::quick();
-        let mut snap = sample_snapshot();
+        // The rewrite itself is faithful: the live layout decodes.
+        assert!(decode(&encode_with_replay(16, 1, 0.5)).is_ok());
         // Write cursor beyond capacity is impossible in a live buffer.
-        snap.replay = ReplayState::Uniform { capacity: 4, write: 9, items: vec![] };
-        let err = decode(&encode(&cfg, &snap)).unwrap_err();
-        assert!(err.to_string().contains("replay"), "{err}");
+        assert_replay_rejected(&encode_with_replay(4, 9, 0.5), "inconsistent replay buffer");
+        // So is a buffer holding more items than its capacity.
+        assert_replay_rejected(&encode_with_replay(0, 0, 0.5), "inconsistent replay buffer");
+    }
+
+    #[test]
+    fn decode_rejects_replay_cursor_off_a_partial_buffer() {
+        // One item in 16 slots: `push` always leaves the cursor at 1.
+        for write in [0, 2, 15] {
+            assert_replay_rejected(
+                &encode_with_replay(16, write, 0.5),
+                "inconsistent replay buffer",
+            );
+        }
+    }
+
+    #[test]
+    fn decode_rejects_replay_priority_below_floor() {
+        // `push` stores `|δ| + ε`, so no priority is below ε = 1e-3.
+        for priority in [-0.5, 0.0, 1e-4] {
+            assert_replay_rejected(&encode_with_replay(16, 1, priority), "below the floor");
+        }
     }
 
     #[test]

@@ -22,7 +22,7 @@ use crate::predictor::{PerformancePredictor, PredictorConfig};
 use crate::scoring::ScoreStats;
 use crate::sequence::TokenVocab;
 use crate::transform::FeatureSet;
-use fastft_rl::{PrioritizedReplay, ReplayState, UniformReplay};
+use fastft_rl::PrioritizedReplay;
 use fastft_tabular::rngx;
 use fastft_tabular::rngx::StdRng;
 use fastft_tabular::{Column, Dataset, FastFtError, FastFtResult};
@@ -30,62 +30,6 @@ use fastft_tabular::{Column, Dataset, FastFtError, FastFtResult};
 /// Cap on the quarantine set: plenty for any realistic fault pattern,
 /// while bounding memory if a dataset makes *every* candidate fault.
 pub(crate) const QUARANTINE_CAPACITY: usize = 256;
-
-/// Replay buffer behind one sampling policy switch (`prioritized_replay`).
-pub(crate) enum Memory {
-    /// TD-error-prioritized sampling (Eq. 10).
-    Prioritized(PrioritizedReplay<MemoryUnit>),
-    /// Uniform sampling (the −CMR ablation).
-    Uniform(UniformReplay<MemoryUnit>),
-}
-
-impl Memory {
-    pub(crate) fn push(&mut self, mem: MemoryUnit, delta: f64) {
-        match self {
-            Memory::Prioritized(b) => b.push(mem, delta),
-            Memory::Uniform(b) => b.push(mem),
-        }
-    }
-
-    pub(crate) fn sample<'a>(&'a self, rng: &mut StdRng) -> Option<&'a MemoryUnit> {
-        match self {
-            Memory::Prioritized(b) => b.sample(rng),
-            Memory::Uniform(b) => b.sample(rng),
-        }
-    }
-
-    pub(crate) fn sample_uniform<'a>(&'a self, rng: &mut StdRng) -> Option<&'a MemoryUnit> {
-        match self {
-            Memory::Prioritized(b) => b.sample_uniform(rng),
-            Memory::Uniform(b) => b.sample(rng),
-        }
-    }
-
-    pub(crate) fn len(&self) -> usize {
-        match self {
-            Memory::Prioritized(b) => b.len(),
-            Memory::Uniform(b) => b.len(),
-        }
-    }
-
-    /// Capture the buffer for a checkpoint (slot order preserved).
-    fn save_state(&self) -> ReplayState<MemoryUnit> {
-        match self {
-            Memory::Prioritized(b) => b.save_state(),
-            Memory::Uniform(b) => b.save_state(),
-        }
-    }
-
-    /// Rebuild from a checkpointed buffer; errors on inconsistent parts.
-    fn from_state(state: ReplayState<MemoryUnit>) -> Result<Self, String> {
-        match state {
-            s @ ReplayState::Prioritized { .. } => {
-                PrioritizedReplay::from_state(s).map(Memory::Prioritized)
-            }
-            s @ ReplayState::Uniform { .. } => UniformReplay::from_state(s).map(Memory::Uniform),
-        }
-    }
-}
 
 /// Everything one run mutates, in one place.
 ///
@@ -103,7 +47,7 @@ pub struct SearchState {
     /// Novelty Estimator (Eq. 4, random network distillation).
     pub novelty: NoveltyEstimator,
     /// Replay buffer of transition memories.
-    pub(crate) memory: Memory,
+    pub(crate) memory: PrioritizedReplay<MemoryUnit>,
     /// §VI-H novelty-distance tracker over feature-set embeddings.
     pub tracker: NoveltyTracker,
     /// The run's single RNG; consumption order defines the decision stream.
@@ -164,17 +108,12 @@ impl SearchState {
         };
         let mut agents = CascadingAgents::new(cfg.rl, cfg.agent_hidden, cfg.agent_lr, cfg.seed);
         agents.gamma = cfg.gamma;
-        let memory = if cfg.prioritized_replay {
-            Memory::Prioritized(PrioritizedReplay::new(cfg.memory_size))
-        } else {
-            Memory::Uniform(UniformReplay::new(cfg.memory_size))
-        };
         SearchState {
             vocab,
             agents,
             predictor: PerformancePredictor::new(vocab.size(), pc, cfg.seed.wrapping_add(11)),
             novelty: NoveltyEstimator::new(vocab.size(), pc, cfg.seed.wrapping_add(23)),
-            memory,
+            memory: PrioritizedReplay::new(cfg.memory_size),
             tracker: NoveltyTracker::new(),
             rng: rngx::rng(cfg.seed.wrapping_add(37)),
             telemetry: Telemetry::default(),
@@ -250,7 +189,7 @@ impl SearchState {
             agents: agents.save_state(),
             predictor: predictor.save_state(),
             novelty: novelty.save_state(),
-            replay: memory.save_state(),
+            replay: memory.clone(),
             tracker_history: tracker.history().to_vec(),
             tracker_seen: tracker.seen_keys_sorted().into_iter().map(String::from).collect(),
             eval_cache: eval_cache
@@ -318,7 +257,7 @@ impl SearchState {
         self.agents.load_state(&agents).map_err(|e| bad("agents", e))?;
         self.predictor.load_state(&predictor).map_err(|e| bad("predictor", e))?;
         self.novelty.load_state(&novelty).map_err(|e| bad("novelty estimator", e))?;
-        self.memory = Memory::from_state(replay).map_err(|e| bad("replay buffer", e))?;
+        self.memory = replay;
         self.tracker = NoveltyTracker::from_parts(tracker_history, tracker_seen);
         self.eval_cache = LruCache::new(cfg.eval_cache_capacity);
         for (k, v) in eval_cache {
@@ -370,6 +309,7 @@ fn restore_feature_set(
 mod tests {
     use super::*;
     use crate::agents::Decision;
+    use fastft_tabular::persist::{Persist, Reader, Writer};
 
     fn unit(tag: f64) -> MemoryUnit {
         MemoryUnit {
@@ -385,25 +325,23 @@ mod tests {
         }
     }
 
-    /// Resume regression: the prioritized buffer must keep its TD-error
+    /// Resume regression: the replay buffer must keep its TD-error
     /// priorities *and* slot order across save/restore, so an identically
     /// seeded RNG draws the same sample sequence before and after.
     #[test]
     fn prioritized_sampling_survives_save_restore() {
-        let mut mem = Memory::Prioritized(PrioritizedReplay::new(16));
+        let mut mem = PrioritizedReplay::new(16);
         for i in 0..10 {
             // Spread the TD errors so the priority weighting matters.
             mem.push(unit(i as f64), (i as f64 - 4.0) * 1.5);
         }
         // Round-trip through the checkpoint byte codec, exactly as a
         // save/resume cycle would.
-        let mut w = fastft_tabular::persist::Writer::new();
-        fastft_tabular::persist::Persist::persist(&mem.save_state(), &mut w);
+        let mut w = Writer::new();
+        mem.persist(&mut w);
         let bytes = w.into_bytes();
-        let mut r = fastft_tabular::persist::Reader::new(&bytes);
-        let state: ReplayState<MemoryUnit> =
-            fastft_tabular::persist::Persist::restore(&mut r).expect("decode");
-        let restored = Memory::from_state(state).expect("round-trip");
+        let restored: PrioritizedReplay<MemoryUnit> =
+            Persist::restore(&mut Reader::new(&bytes)).expect("decode");
         let mut rng_a = rngx::rng(99);
         let mut rng_b = rngx::rng(99);
         for draw in 0..64 {
@@ -411,24 +349,12 @@ mod tests {
             let b = restored.sample(&mut rng_b).expect("buffer non-empty");
             assert_eq!(a, b, "draw {draw} diverged after restore");
         }
-        // The uniform pathway (episode-end finetuning) must match too.
+        // The uniform pathway (−RCT replay, episode-end finetuning) must
+        // match too.
         for draw in 0..16 {
             let a = mem.sample_uniform(&mut rng_a).expect("buffer non-empty");
             let b = restored.sample_uniform(&mut rng_b).expect("buffer non-empty");
             assert_eq!(a, b, "uniform draw {draw} diverged after restore");
         }
-    }
-
-    /// A mismatched variant in the checkpoint is a corruption error, not a
-    /// silent policy switch.
-    #[test]
-    fn replay_variant_mismatch_is_rejected() {
-        let mut mem = Memory::Uniform(UniformReplay::new(4));
-        mem.push(unit(1.0), 0.0);
-        let state = mem.save_state();
-        assert!(matches!(state, ReplayState::Uniform { .. }));
-        assert!(Memory::from_state(state).is_ok());
-        let pri = Memory::Prioritized(PrioritizedReplay::new(4));
-        assert!(matches!(pri.save_state(), ReplayState::Prioritized { .. }));
     }
 }

@@ -561,9 +561,15 @@ impl Learner for ReplayLearner {
         let delta = st.agents.td_error(&mem);
         st.memory.push(mem, delta);
         // Alg. 1 line 9 / Alg. 2 line 17: sample from the priority
-        // distribution and optimise the cascading agents.
+        // distribution (uniformly for −RCT) and optimise the cascading
+        // agents.
         if st.memory.len() >= 2 {
-            if let Some(sampled) = st.memory.sample(&mut st.rng) {
+            let sampled = if cx.cfg.prioritized_replay {
+                st.memory.sample(&mut st.rng)
+            } else {
+                st.memory.sample_uniform(&mut st.rng)
+            };
+            if let Some(sampled) = sampled {
                 let sampled = sampled.clone();
                 st.agents.learn(&sampled);
             }

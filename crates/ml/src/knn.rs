@@ -2,6 +2,7 @@
 
 use crate::preprocess::Standardizer;
 use crate::tree::argmax;
+use fastft_tabular::stats::nan_last_cmp;
 
 /// kNN classifier / regressor over standardised features.
 #[derive(Debug, Clone)]
@@ -53,9 +54,7 @@ impl Knn {
             })
             .collect();
         let k = self.k.min(dist.len());
-        dist.select_nth_unstable_by(k - 1, |a, b| {
-            a.0.partial_cmp(&b.0).unwrap_or(std::cmp::Ordering::Equal)
-        });
+        dist.select_nth_unstable_by(k - 1, |a, b| nan_last_cmp(&a.0, &b.0));
         dist[..k].iter().map(|&(_, i)| i).collect()
     }
 

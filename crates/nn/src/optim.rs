@@ -119,13 +119,6 @@ fn clip_scale(params: &[&mut Tensor], clip: Option<f64>) -> f64 {
     }
 }
 
-/// Zero the gradients of a parameter list without updating.
-pub fn zero_grads(params: Vec<&mut Tensor>) {
-    for p in params {
-        p.zero_grad();
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -8,9 +8,8 @@
 //! to a scalar value `V(s)`; advantages `A = r + γV(s') − V(s)` weight the
 //! policy gradient, and the same TD error is the replay priority (Eq. 10).
 //!
-//! [`Actor`] and [`Critic`] are exposed separately because the cascading
-//! system shares one critic across its three actors; [`ActorCritic`] bundles
-//! them for single-agent use.
+//! [`Actor`] and [`Critic`] are separate types because the cascading
+//! system shares one critic across its three actors.
 
 use fastft_nn::activation::softmax_inplace;
 use fastft_nn::matrix::Matrix;
@@ -48,11 +47,6 @@ impl Actor {
     /// Sample an action from the softmax policy.
     pub fn select(&self, candidates: &[Vec<f64>], rng: &mut StdRng) -> usize {
         sample_categorical(&self.policy(candidates), rng)
-    }
-
-    /// Greedy action (highest logit).
-    pub fn select_greedy(&self, candidates: &[Vec<f64>]) -> usize {
-        argmax(&self.policy(candidates))
     }
 
     /// Policy-gradient step: `L_π = −log π(a|s) · A` (Eq. 9, actor update).
@@ -128,65 +122,6 @@ impl Critic {
     }
 }
 
-/// Actor + critic bundle for single-agent use.
-#[derive(Debug, Clone)]
-pub struct ActorCritic {
-    /// The policy.
-    pub actor: Actor,
-    /// The value function.
-    pub critic: Critic,
-    /// Discount factor γ.
-    pub gamma: f64,
-}
-
-impl ActorCritic {
-    /// Create an agent: candidates are `action_dim`-dimensional, states are
-    /// `state_dim`-dimensional, both networks get one `hidden`-wide layer.
-    pub fn new(action_dim: usize, state_dim: usize, hidden: usize, lr: f64, seed: u64) -> Self {
-        ActorCritic {
-            actor: Actor::new(action_dim, hidden, lr, seed),
-            critic: Critic::new(state_dim, hidden, lr, seed.wrapping_add(1)),
-            gamma: 0.99,
-        }
-    }
-
-    /// Softmax policy over a candidate set.
-    pub fn policy(&self, candidates: &[Vec<f64>]) -> Vec<f64> {
-        self.actor.policy(candidates)
-    }
-
-    /// Sample an action from the policy.
-    pub fn select(&self, candidates: &[Vec<f64>], rng: &mut StdRng) -> usize {
-        self.actor.select(candidates, rng)
-    }
-
-    /// Greedy action.
-    pub fn select_greedy(&self, candidates: &[Vec<f64>]) -> usize {
-        self.actor.select_greedy(candidates)
-    }
-
-    /// Critic value estimate `V(s)`.
-    pub fn value(&self, state: &[f64]) -> f64 {
-        self.critic.value(state)
-    }
-
-    /// TD error `δ = r + γ·V(s') − V(s)` (Eq. 10's priority); pass
-    /// `next_value = 0` at episode boundaries.
-    pub fn td_error(&self, state: &[f64], reward: f64, next_value: f64) -> f64 {
-        reward + self.gamma * next_value - self.value(state)
-    }
-
-    /// Policy-gradient step on one decision.
-    pub fn update_actor(&mut self, candidates: &[Vec<f64>], action: usize, advantage: f64) {
-        self.actor.update(candidates, action, advantage);
-    }
-
-    /// Critic regression step; returns the pre-update squared error.
-    pub fn update_critic(&mut self, state: &[f64], target: f64) -> f64 {
-        self.critic.update(state, target)
-    }
-}
-
 /// Sample an index from a normalised probability vector.
 pub fn sample_categorical(probs: &[f64], rng: &mut StdRng) -> usize {
     let mut target = rng.gen::<f64>();
@@ -225,56 +160,44 @@ mod tests {
 
     #[test]
     fn policy_is_distribution() {
-        let ac = ActorCritic::new(3, 1, 8, 0.01, 1);
-        let p = ac.policy(&candidates_for(0));
+        let actor = Actor::new(3, 8, 0.01, 1);
+        let p = actor.policy(&candidates_for(0));
         assert!((p.iter().sum::<f64>() - 1.0).abs() < 1e-9);
         assert!(p.iter().all(|&v| v > 0.0));
     }
 
     #[test]
     fn learns_contextual_bandit() {
-        let mut ac = ActorCritic::new(3, 1, 16, 0.02, 2);
+        let mut actor = Actor::new(3, 16, 0.02, 2);
+        let mut critic = Critic::new(1, 16, 0.02, 3);
         let mut rng = StdRng::seed_from_u64(3);
         for step in 0..1500 {
             let ctx = step % 2;
             let cands = candidates_for(ctx);
-            let a = ac.select(&cands, &mut rng);
+            let a = actor.select(&cands, &mut rng);
             let r = f64::from(u8::from(a == ctx));
             let state = vec![ctx as f64];
             // One-step episode: advantage = r − V(s).
-            let adv = r - ac.value(&state);
-            ac.update_actor(&cands, a, adv);
-            ac.update_critic(&state, r);
+            let adv = r - critic.value(&state);
+            actor.update(&cands, a, adv);
+            critic.update(&state, r);
         }
         for ctx in 0..2 {
-            let a = ac.select_greedy(&candidates_for(ctx));
-            assert_eq!(a, ctx, "ctx {ctx}");
-            let p = ac.policy(&candidates_for(ctx));
+            let p = actor.policy(&candidates_for(ctx));
+            assert_eq!(argmax(&p), ctx, "ctx {ctx}");
             assert!(p[ctx] > 0.8, "π(correct|{ctx}) = {}", p[ctx]);
         }
     }
 
     #[test]
     fn critic_regresses_to_target() {
-        let mut ac = ActorCritic::new(2, 2, 8, 0.05, 4);
+        let mut critic = Critic::new(2, 8, 0.05, 5);
         for _ in 0..400 {
-            ac.update_critic(&[1.0, 0.0], 3.0);
-            ac.update_critic(&[0.0, 1.0], -1.0);
+            critic.update(&[1.0, 0.0], 3.0);
+            critic.update(&[0.0, 1.0], -1.0);
         }
-        assert!((ac.value(&[1.0, 0.0]) - 3.0).abs() < 0.2);
-        assert!((ac.value(&[0.0, 1.0]) + 1.0).abs() < 0.2);
-    }
-
-    #[test]
-    fn td_error_formula() {
-        let mut ac = ActorCritic::new(2, 1, 4, 0.05, 5);
-        ac.gamma = 0.5;
-        for _ in 0..300 {
-            ac.update_critic(&[0.0], 1.0);
-        }
-        let delta = ac.td_error(&[0.0], 2.0, 4.0);
-        // δ = 2 + 0.5·4 − V(0) ≈ 4 − 1 = 3
-        assert!((delta - 3.0).abs() < 0.2, "delta {delta}");
+        assert!((critic.value(&[1.0, 0.0]) - 3.0).abs() < 0.2);
+        assert!((critic.value(&[0.0, 1.0]) + 1.0).abs() < 0.2);
     }
 
     #[test]
@@ -297,8 +220,8 @@ mod tests {
             let r = f64::from(u8::from(a == ctx));
             actor.update(&cands, a, r - 0.5);
         }
-        assert_eq!(actor.select_greedy(&candidates_for(0)), 0);
-        assert_eq!(actor.select_greedy(&candidates_for(1)), 1);
+        assert_eq!(argmax(&actor.policy(&candidates_for(0))), 0);
+        assert_eq!(argmax(&actor.policy(&candidates_for(1))), 1);
     }
 
     #[test]
@@ -316,7 +239,7 @@ mod tests {
     #[test]
     #[should_panic]
     fn empty_candidates_panics() {
-        let ac = ActorCritic::new(2, 1, 4, 0.01, 7);
-        let _ = ac.policy(&[]);
+        let actor = Actor::new(2, 4, 0.01, 7);
+        let _ = actor.policy(&[]);
     }
 }

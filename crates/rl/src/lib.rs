@@ -1,8 +1,9 @@
 //! Reinforcement-learning substrate for FASTFT.
 //!
-//! - [`replay`]: prioritized (Eq. 10) and uniform experience replay.
-//! - [`actor_critic`]: the paper's default learner (Eq. 9) over
-//!   candidate-scoring policies.
+//! - [`replay`]: one fixed-size replay memory, drawn by TD-error priority
+//!   (Eq. 10) or uniformly for the FASTFT⁻ᴿᶜᵀ ablation.
+//! - [`actor_critic`]: the actor and critic networks of the paper's default
+//!   learner (Eq. 9) over candidate-scoring policies.
 //! - [`dqn`]: DQN / Double / Dueling / DuelingDouble variants for the Fig. 7
 //!   framework ablation.
 //! - [`schedule`]: the Eq. 6 exponential novelty-weight decay and an
@@ -13,7 +14,6 @@ pub mod dqn;
 pub mod replay;
 pub mod schedule;
 
-pub use actor_critic::ActorCritic;
 pub use dqn::{QAgent, QAgentState, QKind};
-pub use replay::{PrioritizedReplay, ReplayState, Transition, UniformReplay};
+pub use replay::PrioritizedReplay;
 pub use schedule::ExpDecay;

@@ -1,40 +1,28 @@
-//! Experience replay buffers.
+//! Experience replay: one fixed-size FIFO memory with two ways to draw
+//! from it.
 //!
 //! [`PrioritizedReplay`] implements the paper's "Replay Critical
 //! Transformation Memory" (Eq. 10): each memory carries a priority
-//! (the TD error) and is sampled with probability proportional to it.
-//! Following standard prioritized-experience-replay practice we use
-//! `|δ| + ε` so probabilities stay positive and well-defined (noted in
-//! DESIGN.md §4). [`UniformReplay`] backs the FASTFT⁻ᴿᶜᵀ ablation.
+//! (the TD error) and [`PrioritizedReplay::sample`] draws it with
+//! probability proportional to that priority. Following standard
+//! prioritized-experience-replay practice we use `|δ| + ε` so
+//! probabilities stay positive and well-defined (noted in DESIGN.md §4).
+//! The FASTFT⁻ᴿᶜᵀ ablation keeps the same buffer and draws with
+//! [`PrioritizedReplay::sample_uniform`] instead.
 
 use fastft_tabular::persist::{Persist, PersistResult, Reader, Writer};
 use fastft_tabular::rngx::StdRng;
 
-/// A generic RL transition; the FASTFT engine stores richer memory units
-/// (`<s, a, r, s', T, v>`) by instantiating `M` with its own type, but this
-/// concrete transition covers the plain RL substrates and tests.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Transition {
-    /// State representation.
-    pub state: Vec<f64>,
-    /// Chosen action index.
-    pub action: usize,
-    /// Observed reward.
-    pub reward: f64,
-    /// Next-state representation.
-    pub next_state: Vec<f64>,
-    /// Whether the episode ended at this step.
-    pub done: bool,
-}
+/// Priority floor ε added to every `|δ|`.
+const EPS: f64 = 1e-3;
 
 /// Ring-buffer prioritized replay (proportional variant).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PrioritizedReplay<M> {
     capacity: usize,
     items: Vec<M>,
     priorities: Vec<f64>,
     write: usize,
-    eps: f64,
 }
 
 impl<M> PrioritizedReplay<M> {
@@ -46,7 +34,6 @@ impl<M> PrioritizedReplay<M> {
             items: Vec::with_capacity(capacity),
             priorities: Vec::with_capacity(capacity),
             write: 0,
-            eps: 1e-3,
         }
     }
 
@@ -60,21 +47,11 @@ impl<M> PrioritizedReplay<M> {
         self.items.is_empty()
     }
 
-    /// Whether the buffer is at capacity.
-    pub fn is_full(&self) -> bool {
-        self.items.len() == self.capacity
-    }
-
-    /// Buffer capacity.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
     /// Insert a memory with priority `|delta|` (TD error). Overwrites the
     /// oldest entry once full (FIFO ring), matching the paper's fixed-size
     /// memory that keeps "key memories updated" (§VI-F).
     pub fn push(&mut self, item: M, delta: f64) {
-        let p = delta.abs() + self.eps;
+        let p = delta.abs() + EPS;
         if self.items.len() < self.capacity {
             self.items.push(item);
             self.priorities.push(p);
@@ -85,34 +62,25 @@ impl<M> PrioritizedReplay<M> {
         self.write = (self.write + 1) % self.capacity;
     }
 
-    /// Sample one index with probability `P_i / Σ_k P_k` (Eq. 10).
-    pub fn sample_index(&self, rng: &mut StdRng) -> Option<usize> {
+    /// Sample a memory with probability `P_i / Σ_k P_k` (Eq. 10).
+    pub fn sample(&self, rng: &mut StdRng) -> Option<&M> {
         if self.items.is_empty() {
             return None;
         }
         let total: f64 = self.priorities.iter().sum();
         let mut target = rng.gen::<f64>() * total;
-        for (i, &p) in self.priorities.iter().enumerate() {
+        for (item, &p) in self.items.iter().zip(&self.priorities) {
             target -= p;
             if target <= 0.0 {
-                return Some(i);
+                return Some(item);
             }
         }
-        Some(self.items.len() - 1)
+        self.items.last()
     }
 
-    /// Sample a memory by priority.
-    pub fn sample(&self, rng: &mut StdRng) -> Option<&M> {
-        self.sample_index(rng).map(|i| &self.items[i])
-    }
-
-    /// Sample `k` memories by priority (with replacement).
-    pub fn sample_batch(&self, rng: &mut StdRng, k: usize) -> Vec<&M> {
-        (0..k).filter_map(|_| self.sample(rng)).collect()
-    }
-
-    /// Sample a memory uniformly (used for evaluation-component fine-tuning,
-    /// Alg. 1 line 16 / Alg. 2 line 21).
+    /// Sample a memory uniformly: the FASTFT⁻ᴿᶜᵀ replay draw, and the
+    /// evaluation-component fine-tuning draw (Alg. 1 line 16 / Alg. 2
+    /// line 21).
     pub fn sample_uniform(&self, rng: &mut StdRng) -> Option<&M> {
         if self.items.is_empty() {
             None
@@ -120,260 +88,37 @@ impl<M> PrioritizedReplay<M> {
             Some(&self.items[rng.gen_range(0..self.items.len())])
         }
     }
-
-    /// Update the priority of a stored memory (after recomputing its TD
-    /// error).
-    pub fn update_priority(&mut self, index: usize, delta: f64) {
-        self.priorities[index] = delta.abs() + self.eps;
-    }
-
-    /// Iterate over the stored memories.
-    pub fn iter(&self) -> impl Iterator<Item = &M> {
-        self.items.iter()
-    }
-
-    /// Current priority of a stored memory.
-    pub fn priority(&self, index: usize) -> f64 {
-        self.priorities[index]
-    }
-
-    /// Ring write cursor (next slot to overwrite once full), for
-    /// checkpointing.
-    pub fn write_pos(&self) -> usize {
-        self.write
-    }
-
-    /// Rebuild a buffer from checkpointed parts. `items` are in slot order
-    /// (as produced by [`PrioritizedReplay::iter`] zipped with
-    /// [`PrioritizedReplay::priority`]); the rebuilt buffer is functionally
-    /// identical to the captured one.
-    ///
-    /// # Panics
-    /// Panics if the parts are inconsistent (more items than capacity,
-    /// mismatched priority count, or an out-of-range write cursor).
-    pub fn from_parts(capacity: usize, write: usize, items: Vec<M>, priorities: Vec<f64>) -> Self {
-        assert!(capacity >= 1);
-        assert!(items.len() <= capacity, "more items than capacity");
-        assert_eq!(items.len(), priorities.len(), "item/priority count mismatch");
-        assert!(write < capacity, "write cursor out of range");
-        PrioritizedReplay { capacity, items, priorities, write, eps: 1e-3 }
-    }
 }
 
-/// Replay-buffer contents in slot order, matching the configured variant.
-///
-/// This is the checkpoint form of both buffer kinds: capture one with
-/// [`PrioritizedReplay::save_state`]/[`UniformReplay::save_state`] and
-/// rebuild with the `from_state` constructors. The [`Persist`] impl
-/// validates internal consistency on restore, so a corrupt file errors
-/// instead of panicking in `from_parts`.
-#[derive(Debug, Clone, PartialEq)]
-pub enum ReplayState<M> {
-    /// Prioritized ring buffer (the paper's default).
-    Prioritized {
-        /// Buffer capacity.
-        capacity: usize,
-        /// Ring write cursor.
-        write: usize,
-        /// Stored memories in slot order.
-        items: Vec<M>,
-        /// Slot priorities (`|δ| + ε`), parallel to `items`.
-        priorities: Vec<f64>,
-    },
-    /// Uniform FIFO buffer (FASTFT⁻ᴿᶜᵀ).
-    Uniform {
-        /// Buffer capacity.
-        capacity: usize,
-        /// Ring write cursor.
-        write: usize,
-        /// Stored memories in slot order.
-        items: Vec<M>,
-    },
-}
-
-impl<M> ReplayState<M> {
-    /// Validate internal consistency (capacity, cursor, parallel lengths).
-    pub fn validate(&self) -> Result<(), String> {
-        let (cap, wr, len, prios) = match self {
-            ReplayState::Prioritized { capacity, write, items, priorities } => {
-                (*capacity, *write, items.len(), Some(priorities.len()))
-            }
-            ReplayState::Uniform { capacity, write, items } => {
-                (*capacity, *write, items.len(), None)
-            }
-        };
-        if cap == 0 || len > cap || wr >= cap || prios.is_some_and(|p| p != len) {
-            return Err(format!(
-                "inconsistent replay buffer (capacity {cap}, write {wr}, len {len})"
-            ));
-        }
-        Ok(())
-    }
-}
-
-impl<M: Persist> Persist for ReplayState<M> {
+/// Slot order, priorities and the write cursor all round-trip, so a
+/// restored buffer draws the same samples and overwrites the same slot.
+/// Restore rejects any state `push` can never leave behind.
+impl<M: Persist> Persist for PrioritizedReplay<M> {
     fn persist(&self, w: &mut Writer) {
-        match self {
-            ReplayState::Prioritized { capacity, write, items, priorities } => {
-                w.u8(0);
-                capacity.persist(w);
-                write.persist(w);
-                items.persist(w);
-                priorities.persist(w);
-            }
-            ReplayState::Uniform { capacity, write, items } => {
-                w.u8(1);
-                capacity.persist(w);
-                write.persist(w);
-                items.persist(w);
-            }
-        }
+        self.capacity.persist(w);
+        self.write.persist(w);
+        self.items.persist(w);
+        self.priorities.persist(w);
     }
 
     fn restore(r: &mut Reader) -> PersistResult<Self> {
-        let tag = r.u8()?;
         let capacity = r.usize()?;
         let write = r.usize()?;
         let items: Vec<M> = Persist::restore(r)?;
-        let state = match tag {
-            0 => ReplayState::Prioritized {
-                capacity,
-                write,
-                items,
-                priorities: Persist::restore(r)?,
-            },
-            1 => ReplayState::Uniform { capacity, write, items },
-            t => return Err(format!("unknown replay tag {t}")),
-        };
-        state.validate()?;
-        Ok(state)
-    }
-}
-
-impl<M: Clone> PrioritizedReplay<M> {
-    /// Capture the buffer for a checkpoint (slot order preserved).
-    pub fn save_state(&self) -> ReplayState<M> {
-        ReplayState::Prioritized {
-            capacity: self.capacity,
-            write: self.write,
-            items: self.items.clone(),
-            priorities: self.priorities.clone(),
+        let priorities: Vec<f64> = Persist::restore(r)?;
+        let len = items.len();
+        let cursor_ok = if len < capacity { write == len } else { write < capacity };
+        if capacity == 0 || len > capacity || !cursor_ok || priorities.len() != len {
+            return Err(format!(
+                "inconsistent replay buffer (capacity {capacity}, write {write}, len {len}, \
+                 {} priorities)",
+                priorities.len()
+            ));
         }
-    }
-}
-
-impl<M> PrioritizedReplay<M> {
-    /// Rebuild from a captured [`ReplayState::Prioritized`]; errors on a
-    /// mismatched variant or inconsistent parts.
-    pub fn from_state(state: ReplayState<M>) -> Result<Self, String> {
-        state.validate()?;
-        match state {
-            ReplayState::Prioritized { capacity, write, items, priorities } => {
-                Ok(Self::from_parts(capacity, write, items, priorities))
-            }
-            ReplayState::Uniform { .. } => {
-                Err("expected prioritized replay state, found uniform".into())
-            }
+        if let Some(p) = priorities.iter().find(|&&p| p < EPS) {
+            return Err(format!("replay priority {p} below the floor {EPS}"));
         }
-    }
-}
-
-impl<M: Clone> UniformReplay<M> {
-    /// Capture the buffer for a checkpoint (slot order preserved).
-    pub fn save_state(&self) -> ReplayState<M> {
-        ReplayState::Uniform {
-            capacity: self.capacity,
-            write: self.write,
-            items: self.items.clone(),
-        }
-    }
-}
-
-impl<M> UniformReplay<M> {
-    /// Rebuild from a captured [`ReplayState::Uniform`]; errors on a
-    /// mismatched variant or inconsistent parts.
-    pub fn from_state(state: ReplayState<M>) -> Result<Self, String> {
-        state.validate()?;
-        match state {
-            ReplayState::Uniform { capacity, write, items } => {
-                Ok(Self::from_parts(capacity, write, items))
-            }
-            ReplayState::Prioritized { .. } => {
-                Err("expected uniform replay state, found prioritized".into())
-            }
-        }
-    }
-}
-
-/// Plain FIFO buffer with uniform sampling (the FASTFT⁻ᴿᶜᵀ ablation).
-#[derive(Debug, Clone)]
-pub struct UniformReplay<M> {
-    capacity: usize,
-    items: Vec<M>,
-    write: usize,
-}
-
-impl<M> UniformReplay<M> {
-    /// Create with a fixed capacity.
-    pub fn new(capacity: usize) -> Self {
-        assert!(capacity >= 1);
-        UniformReplay { capacity, items: Vec::with_capacity(capacity), write: 0 }
-    }
-
-    /// Number of stored memories.
-    pub fn len(&self) -> usize {
-        self.items.len()
-    }
-
-    /// Whether the buffer is empty.
-    pub fn is_empty(&self) -> bool {
-        self.items.is_empty()
-    }
-
-    /// Insert, overwriting the oldest entry once full.
-    pub fn push(&mut self, item: M) {
-        if self.items.len() < self.capacity {
-            self.items.push(item);
-        } else {
-            self.items[self.write] = item;
-        }
-        self.write = (self.write + 1) % self.capacity;
-    }
-
-    /// Sample uniformly.
-    pub fn sample(&self, rng: &mut StdRng) -> Option<&M> {
-        if self.items.is_empty() {
-            None
-        } else {
-            Some(&self.items[rng.gen_range(0..self.items.len())])
-        }
-    }
-
-    /// Iterate over stored memories.
-    pub fn iter(&self) -> impl Iterator<Item = &M> {
-        self.items.iter()
-    }
-
-    /// Buffer capacity.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// Ring write cursor, for checkpointing.
-    pub fn write_pos(&self) -> usize {
-        self.write
-    }
-
-    /// Rebuild a buffer from checkpointed parts (see
-    /// [`PrioritizedReplay::from_parts`]).
-    ///
-    /// # Panics
-    /// Panics if the parts are inconsistent.
-    pub fn from_parts(capacity: usize, write: usize, items: Vec<M>) -> Self {
-        assert!(capacity >= 1);
-        assert!(items.len() <= capacity, "more items than capacity");
-        assert!(write < capacity, "write cursor out of range");
-        UniformReplay { capacity, items, write }
+        Ok(PrioritizedReplay { capacity, items, priorities, write })
     }
 }
 
@@ -382,16 +127,22 @@ mod tests {
     use super::*;
     use fastft_tabular::rngx::StdRng;
 
+    fn round_trip(buf: &PrioritizedReplay<u32>) -> PersistResult<PrioritizedReplay<u32>> {
+        let mut w = Writer::new();
+        buf.persist(&mut w);
+        let bytes = w.into_bytes();
+        PrioritizedReplay::restore(&mut Reader::new(&bytes))
+    }
+
     #[test]
     fn push_until_full_then_overwrite_oldest() {
         let mut buf = PrioritizedReplay::new(3);
         for i in 0..5 {
             buf.push(i, 1.0);
         }
-        assert!(buf.is_full());
-        let items: Vec<i32> = buf.iter().copied().collect();
+        assert_eq!(buf.len(), 3);
         // Ring: slots hold [3, 4, 2].
-        assert_eq!(items, vec![3, 4, 2]);
+        assert_eq!(buf.items, vec![3, 4, 2]);
     }
 
     #[test]
@@ -431,36 +182,16 @@ mod tests {
     }
 
     #[test]
-    fn update_priority_changes_distribution() {
-        let mut buf = PrioritizedReplay::new(2);
-        buf.push(0, 1.0);
-        buf.push(1, 1.0);
-        buf.update_priority(0, 1000.0);
-        let mut rng = StdRng::seed_from_u64(5);
-        let zeros = (0..500).filter(|_| *buf.sample(&mut rng).unwrap() == 0).count();
-        assert!(zeros > 450, "zeros {zeros}/500");
-    }
-
-    #[test]
-    fn uniform_replay_round_trips() {
-        let mut buf = UniformReplay::new(2);
-        buf.push(10);
-        buf.push(20);
-        buf.push(30); // overwrites 10
-        let items: Vec<i32> = buf.iter().copied().collect();
-        assert_eq!(items, vec![30, 20]);
-    }
-
-    #[test]
     fn uniform_sampling_is_roughly_uniform() {
-        let mut buf = UniformReplay::new(4);
+        let mut buf = PrioritizedReplay::new(4);
         for i in 0..4 {
-            buf.push(i);
+            // Skewed priorities must not bias the uniform draw.
+            buf.push(i, 10f64.powi(i as i32));
         }
         let mut rng = StdRng::seed_from_u64(6);
         let mut counts = [0usize; 4];
         for _ in 0..4000 {
-            counts[*buf.sample(&mut rng).unwrap() as usize] += 1;
+            counts[*buf.sample_uniform(&mut rng).unwrap()] += 1;
         }
         for &c in &counts {
             assert!((800..1200).contains(&c), "{counts:?}");
@@ -468,55 +199,71 @@ mod tests {
     }
 
     #[test]
-    fn from_parts_round_trips_prioritized() {
-        let mut buf = PrioritizedReplay::new(3);
-        for i in 0..5 {
-            buf.push(i, i as f64);
+    fn persist_round_trips_prioritized() {
+        for pushes in [0u32, 2, 5] {
+            let mut buf = PrioritizedReplay::new(3);
+            for i in 0..pushes {
+                buf.push(i, f64::from(i) - 2.0);
+            }
+            let mut rebuilt = round_trip(&buf).expect("decode");
+            assert_eq!(rebuilt, buf);
+            let mut a = StdRng::seed_from_u64(9);
+            let mut b = StdRng::seed_from_u64(9);
+            for _ in 0..50 {
+                assert_eq!(buf.sample(&mut a), rebuilt.sample(&mut b));
+            }
+            // Pushing after the rebuild overwrites the same slot.
+            buf.push(99, 1.0);
+            rebuilt.push(99, 1.0);
+            assert_eq!(rebuilt, buf);
         }
-        let items: Vec<i32> = buf.iter().copied().collect();
-        let prios: Vec<f64> = (0..buf.len()).map(|i| buf.priority(i)).collect();
-        let rebuilt = PrioritizedReplay::from_parts(buf.capacity(), buf.write_pos(), items, prios);
-        let mut a = StdRng::seed_from_u64(9);
-        let mut b = StdRng::seed_from_u64(9);
-        for _ in 0..50 {
-            assert_eq!(buf.sample(&mut a), rebuilt.sample(&mut b));
-        }
-        // Pushing after the rebuild overwrites the same slot.
-        let mut buf2 = buf.clone();
-        let mut rebuilt2 = rebuilt.clone();
-        buf2.push(99, 1.0);
-        rebuilt2.push(99, 1.0);
-        assert_eq!(
-            buf2.iter().copied().collect::<Vec<_>>(),
-            rebuilt2.iter().copied().collect::<Vec<_>>()
-        );
     }
 
     #[test]
+    fn uniform_replay_round_trips() {
+        let mut buf = PrioritizedReplay::new(2);
+        buf.push(10, 0.0);
+        buf.push(20, 0.0);
+        buf.push(30, 0.0); // overwrites 10
+        assert_eq!(buf.items, vec![30, 20]);
+    }
+
+    /// A buffer rebuilt from its persisted parts replays the same uniform draws.
+    #[test]
     fn from_parts_round_trips_uniform() {
-        let mut buf = UniformReplay::new(2);
+        let mut buf = PrioritizedReplay::new(2);
         for i in 0..3 {
-            buf.push(i);
+            buf.push(i, 0.0);
         }
-        let rebuilt = UniformReplay::from_parts(
-            buf.capacity(),
-            buf.write_pos(),
-            buf.iter().copied().collect(),
-        );
+        let rebuilt = round_trip(&buf).expect("decode");
         let mut a = StdRng::seed_from_u64(11);
         let mut b = StdRng::seed_from_u64(11);
         for _ in 0..20 {
-            assert_eq!(buf.sample(&mut a), rebuilt.sample(&mut b));
+            assert_eq!(buf.sample_uniform(&mut a), rebuilt.sample_uniform(&mut b));
         }
     }
 
     #[test]
-    fn batch_sampling_size() {
-        let mut buf = PrioritizedReplay::new(8);
-        for i in 0..8 {
-            buf.push(i, 1.0);
-        }
-        let mut rng = StdRng::seed_from_u64(7);
-        assert_eq!(buf.sample_batch(&mut rng, 5).len(), 5);
+    fn restore_rejects_states_push_never_leaves() {
+        let mut live = PrioritizedReplay::new(4);
+        live.push(7, 0.5);
+        live.push(8, -0.5);
+        let bad = |edit: fn(&mut PrioritizedReplay<u32>)| {
+            let mut buf = live.clone();
+            edit(&mut buf);
+            round_trip(&buf).unwrap_err()
+        };
+        assert!(bad(|b| b.capacity = 0).contains("inconsistent"));
+        assert!(bad(|b| b.capacity = 1).contains("inconsistent"));
+        assert!(bad(|b| b.write = 9).contains("inconsistent"));
+        // Partly filled: the cursor always equals the length.
+        assert!(bad(|b| b.write = 0).contains("inconsistent"));
+        assert!(bad(|b| b.write = 3).contains("inconsistent"));
+        assert!(bad(|b| {
+            b.priorities.pop();
+        })
+        .contains("inconsistent"));
+        assert!(bad(|b| b.priorities[1] = -0.5).contains("below the floor"));
+        assert!(bad(|b| b.priorities[0] = 0.0).contains("below the floor"));
     }
 }

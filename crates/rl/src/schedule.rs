@@ -16,12 +16,6 @@ pub struct ExpDecay {
 }
 
 impl ExpDecay {
-    /// The paper's novelty-weight schedule (§V): 0.10 → 0.005 over 1000
-    /// steps.
-    pub fn paper_novelty_weight() -> Self {
-        ExpDecay { start: 0.10, end: 0.005, m: 1000.0 }
-    }
-
     /// Value at step `i` (Eq. 6).
     pub fn at(&self, step: usize) -> f64 {
         self.end + (self.start - self.end) * (-(step as f64) / self.m).exp()
@@ -54,16 +48,20 @@ impl LinearDecay {
 mod tests {
     use super::*;
 
+    /// The paper's novelty-weight schedule (§V): 0.10 → 0.005 over 1000
+    /// steps.
+    const PAPER: ExpDecay = ExpDecay { start: 0.10, end: 0.005, m: 1000.0 };
+
     #[test]
     fn exp_decay_endpoints() {
-        let s = ExpDecay::paper_novelty_weight();
+        let s = PAPER;
         assert!((s.at(0) - 0.10).abs() < 1e-12);
         assert!((s.at(1_000_000) - 0.005).abs() < 1e-9);
     }
 
     #[test]
     fn exp_decay_monotone() {
-        let s = ExpDecay::paper_novelty_weight();
+        let s = PAPER;
         let mut prev = f64::MAX;
         for i in (0..5000).step_by(100) {
             let v = s.at(i);

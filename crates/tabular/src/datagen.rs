@@ -384,7 +384,7 @@ pub fn generate_custom(
         TaskType::Classification => {
             let k = n_classes.max(2);
             let mut sorted = score.clone();
-            sorted.sort_by(|a, b| a.partial_cmp(b).unwrap());
+            sorted.sort_by(f64::total_cmp);
             let cuts: Vec<f64> = (1..k)
                 .map(|c| crate::stats::percentile_sorted(&sorted, c as f64 / k as f64))
                 .collect();
@@ -392,7 +392,7 @@ pub fn generate_custom(
         }
         TaskType::Detection => {
             let mut sorted = score.clone();
-            sorted.sort_by(|a, b| a.partial_cmp(b).unwrap());
+            sorted.sort_by(f64::total_cmp);
             let cut = crate::stats::percentile_sorted(&sorted, 1.0 - cfg.contamination);
             score.iter().map(|&s| if s > cut { 1.0 } else { 0.0 }).collect()
         }

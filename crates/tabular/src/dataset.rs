@@ -162,11 +162,6 @@ impl Dataset {
         self.features.iter().map(|c| c.values[i]).collect()
     }
 
-    /// Materialise all rows (row-major) — used by row-oriented models.
-    pub fn to_rows(&self) -> Vec<Vec<f64>> {
-        (0..self.n_rows()).map(|i| self.row(i)).collect()
-    }
-
     /// A new dataset containing only the given row indices (feature columns
     /// and targets are gathered; name and task metadata are kept).
     pub fn select_rows(&self, idx: &[usize]) -> Dataset {

@@ -30,7 +30,7 @@ pub fn impute(data: &mut Dataset, strategy: ImputeStrategy) -> usize {
                 ImputeStrategy::Mean => finite.iter().sum::<f64>() / finite.len() as f64,
                 ImputeStrategy::Median => {
                     let mut sorted = finite;
-                    sorted.sort_by(|a, b| a.partial_cmp(b).unwrap());
+                    sorted.sort_by(f64::total_cmp);
                     percentile_sorted(&sorted, 0.5)
                 }
             }
@@ -43,20 +43,6 @@ pub fn impute(data: &mut Dataset, strategy: ImputeStrategy) -> usize {
         }
     }
     filled
-}
-
-/// Fraction of missing (non-finite) cells per column.
-pub fn missing_fractions(data: &Dataset) -> Vec<f64> {
-    data.features
-        .iter()
-        .map(|c| {
-            if c.values.is_empty() {
-                0.0
-            } else {
-                c.values.iter().filter(|v| !v.is_finite()).count() as f64 / c.values.len() as f64
-            }
-        })
-        .collect()
 }
 
 #[cfg(test)]
@@ -110,14 +96,6 @@ mod tests {
         let filled = impute(&mut d, ImputeStrategy::Median);
         assert_eq!(filled, 2);
         assert_eq!(d.features[0].values, vec![0.0, 0.0]);
-    }
-
-    #[test]
-    fn missing_fraction_reporting() {
-        let d = with_gaps();
-        let f = missing_fractions(&d);
-        assert!((f[0] - 0.4).abs() < 1e-12);
-        assert_eq!(f[1], 0.0);
     }
 
     #[test]

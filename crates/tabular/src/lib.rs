@@ -15,7 +15,7 @@
 //! - [`datagen`]: seeded synthetic analogs of the paper's 23 public datasets
 //!   with planted non-linear feature interactions (see DESIGN.md §1 for the
 //!   substitution rationale).
-//! - [`split`]: train/test and stratified k-fold splitting.
+//! - [`split`]: plain and stratified k-fold splitting.
 //! - [`csvio`]: minimal CSV import/export.
 
 pub mod csvio;

@@ -45,23 +45,6 @@ pub fn flip_labels(data: &mut Dataset, frac: f64, seed: u64) -> usize {
     picks.len()
 }
 
-/// Perturb a fraction of regression targets with Gaussian noise scaled by
-/// the target standard deviation.
-pub fn perturb_targets(data: &mut Dataset, frac: f64, level: f64, seed: u64) -> usize {
-    assert!(!data.task.is_discrete(), "use flip_labels for discrete targets");
-    assert!((0.0..=1.0).contains(&frac));
-    let mut rng = rngx::rng(seed);
-    let n = data.n_rows().max(1);
-    let mean = data.targets.iter().sum::<f64>() / n as f64;
-    let std = (data.targets.iter().map(|v| (v - mean) * (v - mean)).sum::<f64>() / n as f64).sqrt();
-    let k = ((n as f64) * frac).round() as usize;
-    let picks = rngx::sample_without_replacement(&mut rng, n, k.min(n));
-    for &i in &picks {
-        data.targets[i] += level * std * rngx::normal(&mut rng);
-    }
-    picks.len()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -108,16 +91,6 @@ mod tests {
         for (a, b) in before.iter().zip(&d.targets) {
             assert_ne!(a, b);
         }
-    }
-
-    #[test]
-    fn perturb_targets_regression_only() {
-        let mut d = load("openml_620");
-        let before = d.targets.clone();
-        let k = perturb_targets(&mut d, 0.5, 1.0, 4);
-        assert_eq!(k, 100);
-        let changed = before.iter().zip(&d.targets).filter(|(a, b)| a != b).count();
-        assert_eq!(changed, 100);
     }
 
     #[test]

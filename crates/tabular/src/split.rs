@@ -1,9 +1,8 @@
-//! Train/test and k-fold splitting.
+//! K-fold splitting.
 //!
 //! The paper evaluates with five-fold cross-validation at a 4:1 train:test
 //! ratio (§V "Hyperparameter and Reproducibility").
 
-use crate::dataset::Dataset;
 use crate::rngx;
 
 /// A deterministic k-fold splitter over row indices.
@@ -83,21 +82,9 @@ impl KFold {
     }
 }
 
-/// Simple shuffled train/test split of a dataset at `train_frac`.
-pub fn train_test_split(data: &Dataset, train_frac: f64, seed: u64) -> (Dataset, Dataset) {
-    assert!((0.0..1.0).contains(&train_frac) && train_frac > 0.0);
-    let n = data.n_rows();
-    let mut rng = rngx::rng(seed);
-    let idx = rngx::shuffled_indices(&mut rng, n);
-    let n_train = ((n as f64) * train_frac).round() as usize;
-    let n_train = n_train.clamp(1, n - 1);
-    (data.select_rows(&idx[..n_train]), data.select_rows(&idx[n_train..]))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dataset::{Column, TaskType};
 
     #[test]
     fn folds_partition_rows() {
@@ -146,21 +133,6 @@ mod tests {
         let mut all: Vec<usize> = kf.iter().flat_map(|(_, t)| t).collect();
         all.sort_unstable();
         assert_eq!(all, (0..97).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn split_fractions() {
-        let d = Dataset::new(
-            "t",
-            vec![Column::new("a", (0..100).map(|i| i as f64).collect())],
-            (0..100).map(|i| (i % 2) as f64).collect(),
-            TaskType::Classification,
-            2,
-        )
-        .unwrap();
-        let (tr, te) = train_test_split(&d, 0.8, 7);
-        assert_eq!(tr.n_rows(), 80);
-        assert_eq!(te.n_rows(), 20);
     }
 
     #[test]

@@ -32,7 +32,7 @@ fn main() -> FastFtResult<()> {
         let r = method.run(&data, &ctx)?;
         results.push((r.name.to_string(), r.score, r.total_time_secs(), r.downstream_evals));
     }
-    results.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap());
+    results.sort_by(|a, b| b.1.total_cmp(&a.1));
     for (n, s, t, e) in results {
         println!("{n:<10} {s:>8.4} {t:>10.2} {e:>8}");
     }

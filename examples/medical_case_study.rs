@@ -60,7 +60,7 @@ fn main() {
         .collect();
     let cut = {
         let mut s = risk.clone();
-        s.sort_by(|a, b| a.partial_cmp(b).unwrap());
+        s.sort_by(f64::total_cmp);
         s[n / 2]
     };
     let y: Vec<f64> = risk.iter().map(|&r| f64::from(u8::from(r > cut))).collect();
@@ -89,7 +89,7 @@ fn main() {
     println!("\nfeatures generated at the top reward peaks:");
     let mut peaks: Vec<&fastft_core::StepRecord> =
         result.records.iter().filter(|r| !r.new_exprs.is_empty()).collect();
-    peaks.sort_by(|a, b| b.reward.partial_cmp(&a.reward).unwrap());
+    peaks.sort_by(|a, b| b.reward.total_cmp(&a.reward));
     for rec in peaks.iter().take(3) {
         println!(
             "  episode {} step {} (reward {:+.4}): {}",

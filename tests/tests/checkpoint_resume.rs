@@ -30,20 +30,22 @@ fn tmp_path(tag: &str) -> PathBuf {
     std::env::temp_dir().join(format!("fastft-it-{tag}-{}.ckpt", std::process::id()))
 }
 
-#[test]
-fn kill_and_resume_is_bitwise_identical_to_uninterrupted_run() {
+/// Run `base` to completion, then run it again killed by an evaluation
+/// budget with a checkpoint at every episode boundary, resume with the
+/// budget lifted, and require the two results to agree bit for bit.
+fn assert_kill_and_resume_matches(base: FastFtConfig, tag: &str) {
     let data = load("pima_indian", 200, 0);
-    let full = FastFt::new(cfg()).fit(&data).unwrap();
+    let full = FastFt::new(base.clone()).fit(&data).unwrap();
     assert_eq!(full.stop_reason, StopReason::Completed);
 
     // "Crash" the same run mid-way via an evaluation budget, checkpointing
     // at every episode boundary, then resume with the budget lifted.
-    let ckpt = tmp_path("parity");
+    let ckpt = tmp_path(tag);
     let stopped = FastFt::new(FastFtConfig {
         checkpoint_every: 1,
         checkpoint_path: Some(ckpt.clone()),
         max_downstream_evals: 8,
-        ..cfg()
+        ..base
     })
     .fit(&data)
     .unwrap();
@@ -73,6 +75,14 @@ fn kill_and_resume_is_bitwise_identical_to_uninterrupted_run() {
     assert_eq!(a.quarantined, 0);
 
     std::fs::remove_file(&ckpt).ok();
+}
+
+/// Covers the default (prioritized replay) search and the −RCT ablation,
+/// whose replay draws are uniform.
+#[test]
+fn kill_and_resume_is_bitwise_identical_to_uninterrupted_run() {
+    assert_kill_and_resume_matches(cfg(), "parity");
+    assert_kill_and_resume_matches(cfg().without_critical_replay(), "parity-no-rct");
 }
 
 #[test]

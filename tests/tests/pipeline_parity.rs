@@ -135,13 +135,22 @@ fn checkpoint_hash(path: &std::path::Path) -> (u64, usize) {
 // snapshot's prefix-cache counter baseline (96 bytes); those counters now
 // travel in the snapshot's telemetry. They were re-captured again for
 // version 3, which dropped the evaluator's split-method field (a `u8` tag
-// and a `u32` bin-count slot: 5 bytes). The run constants are unchanged.
+// and a `u32` bin-count slot: 5 bytes). They were re-captured again for
+// version 4, which dropped the replay buffer's variant tag byte (1 byte:
+// there is one buffer type, so nothing to tag); the parent format with only
+// that byte removed and the version bumped gives exactly these two values.
+// The run constants are unchanged.
 
 const GOLDEN_BASE_SCORE: u64 = 0x3fe47d851b84ad0e;
 const GOLDEN_BEST_SCORE: u64 = 0x3fe47d851b84ad0e;
 const GOLDEN_RESULT_HASH: u64 = 0xf3d4f6f1bcf534cc;
-const GOLDEN_CKPT_HASH: u64 = 0x46866294a37a0b56;
-const GOLDEN_CKPT_LEN: usize = 1789200;
+const GOLDEN_CKPT_HASH: u64 = 0xbf1a99221ce2d901;
+const GOLDEN_CKPT_LEN: usize = 1789199;
+
+// The FASTFT⁻ᴿᶜᵀ ablation (uniform replay sampling) on the same
+// configuration, captured before the two replay buffers were merged into
+// one buffer with a sampling switch.
+const GOLDEN_RESULT_HASH_NO_RCT: u64 = 0x410e2ea20b81ebe7;
 
 #[test]
 fn golden_trace_matches_pre_refactor_engine() {
@@ -179,6 +188,20 @@ fn golden_trace_matches_pre_refactor_engine() {
         ckpt_hash, GOLDEN_CKPT_HASH,
         "checkpoint bytes drifted from the pre-refactor format"
     );
+}
+
+/// The −RCT ablation draws its replay samples uniformly instead of by TD
+/// error; its decision stream is pinned separately.
+#[test]
+fn golden_trace_without_critical_replay() {
+    let result = FastFt::new(golden_cfg().without_critical_replay()).fit(&golden_data()).unwrap();
+    if std::env::var("FASTFT_GOLDEN_CAPTURE").is_ok() {
+        println!("const GOLDEN_RESULT_HASH_NO_RCT: u64 = {:#018x};", result_hash(&result));
+        return;
+    }
+    assert_eq!(result.base_score.to_bits(), GOLDEN_BASE_SCORE, "base_score drifted");
+    assert_eq!(result.records.len(), 16, "step count drifted");
+    assert_eq!(result_hash(&result), GOLDEN_RESULT_HASH_NO_RCT, "−RCT trace drifted");
 }
 
 /// The same trace must come out of the multi-dataset `Session` entry point
