@@ -95,12 +95,6 @@ impl BinnedMatrix {
     pub fn codes(&self, f: usize) -> &[u8] {
         &self.codes[f * self.n_rows..(f + 1) * self.n_rows]
     }
-
-    /// Uniform per-feature histogram stride: bins including the missing
-    /// bin, maximised over features.
-    pub fn stride(&self) -> usize {
-        self.n_finite_bins.iter().map(|&nb| nb + 1).max().unwrap_or(1)
-    }
 }
 
 /// Split thresholds for one sorted (finite, ascending) column: at most
@@ -233,12 +227,5 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn stride_covers_missing_bin() {
-        let cols = vec![vec![1.0, 2.0, 3.0], vec![1.0, 1.0, 1.0]];
-        let b = BinnedMatrix::build(&cols, 255);
-        assert_eq!(b.stride(), 4); // 3 finite bins + missing
     }
 }

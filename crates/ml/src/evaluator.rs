@@ -218,12 +218,29 @@ impl Evaluator {
     }
 
     /// Score one train/test split (exposed for single-split workflows).
+    /// An empty index set, or an index past the last row, is an
+    /// evaluation error.
     pub fn evaluate_fold(
         &self,
         data: &Dataset,
         train_idx: &[usize],
         test_idx: &[usize],
     ) -> FastFtResult<f64> {
+        for (role, idx) in [("train", train_idx), ("test", test_idx)] {
+            if idx.is_empty() {
+                return Err(FastFtError::Evaluation(format!(
+                    "dataset `{}`: the {role} split is empty",
+                    data.name
+                )));
+            }
+            if let Some(&bad) = idx.iter().find(|&&i| i >= data.n_rows()) {
+                return Err(FastFtError::Evaluation(format!(
+                    "dataset `{}` has {} rows; {role} index {bad} is out of range",
+                    data.name,
+                    data.n_rows()
+                )));
+            }
+        }
         let metric = self.metric_for(data.task);
         let train_cols: Vec<Vec<f64>> = data
             .features
@@ -302,7 +319,7 @@ impl Evaluator {
             ModelKind::RandomForest => {
                 let mut m = RandomForestClassifier::new(ForestParams::default(), self.seed);
                 m.fit(train_cols, y, n_classes);
-                (m.predict(test_rows), m.predict_scores(test_rows))
+                m.predict_with_scores(test_rows)
             }
             ModelKind::GradientBoosting => {
                 let mut m = GradientBoostingClassifier::new(BoostParams::default(), self.seed);
@@ -312,12 +329,7 @@ impl Evaluator {
             ModelKind::DecisionTree => {
                 let mut m = DecisionTreeClassifier::new(CartParams::default(), self.seed);
                 m.fit(train_cols, y, n_classes);
-                let pred = m.predict(test_rows);
-                let scores = test_rows
-                    .iter()
-                    .map(|r| m.predict_proba_row(r)[1.min(n_classes - 1)])
-                    .collect();
-                (pred, scores)
+                m.predict_with_scores(test_rows)
             }
             ModelKind::Logistic => {
                 let mut m = LogisticRegression::new(self.seed);

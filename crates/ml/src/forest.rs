@@ -93,18 +93,39 @@ impl RandomForestClassifier {
 
     /// Averaged class-probability vector for one row.
     pub fn predict_proba_row(&self, row: &[f64]) -> Vec<f64> {
-        assert!(!self.trees.is_empty(), "fit first");
         let mut acc = vec![0.0; self.n_classes];
+        self.proba_into(row, &mut acc);
+        acc
+    }
+
+    /// Write the averaged class-probability vector of `row` into `acc`,
+    /// summing leaf distributions in tree order.
+    fn proba_into(&self, row: &[f64], acc: &mut [f64]) {
+        assert!(!self.trees.is_empty(), "fit first");
+        acc.fill(0.0);
         for t in &self.trees {
             for (a, p) in acc.iter_mut().zip(t.predict_proba_row(row)) {
                 *a += p;
             }
         }
         let inv = 1.0 / self.trees.len() as f64;
-        for a in &mut acc {
+        for a in acc {
             *a *= inv;
         }
-        acc
+    }
+
+    /// Hard labels and positive-class (class 1) scores for a row-major
+    /// batch, one forest traversal per row: equal to
+    /// [`RandomForestClassifier::predict`] and
+    /// [`RandomForestClassifier::predict_scores`] together.
+    pub fn predict_with_scores(&self, rows: &[Vec<f64>]) -> (Vec<usize>, Vec<f64>) {
+        let mut acc = vec![0.0; self.n_classes];
+        rows.iter()
+            .map(|r| {
+                self.proba_into(r, &mut acc);
+                (tree::argmax(&acc), acc[1.min(self.n_classes - 1)])
+            })
+            .unzip()
     }
 
     /// Hard labels for a row-major batch.
@@ -319,6 +340,26 @@ mod tests {
         let s: f64 = f.feature_importances().iter().sum();
         assert!((s - 1.0).abs() < 1e-6, "sum {s}");
         assert!(f.feature_importances()[0] > f.feature_importances()[1]);
+    }
+
+    #[test]
+    fn one_pass_prediction_matches_separate_passes() {
+        let mut rng = rngx::rng(8);
+        let cols: Vec<Vec<f64>> = (0..4).map(|_| rngx::normal_vec(&mut rng, 200)).collect();
+        let y: Vec<usize> = (0..200).map(|i| usize::from(cols[0][i] * cols[1][i] > 0.0)).collect();
+        let rows: Vec<Vec<f64>> = (0..200).map(|i| cols.iter().map(|c| c[i]).collect()).collect();
+        let mut f = RandomForestClassifier::new(ForestParams::default(), 3);
+        f.fit(&cols, &y, 2);
+        let (labels, scores) = f.predict_with_scores(&rows);
+        assert_eq!(labels, f.predict(&rows));
+        let bits = |v: &[f64]| v.iter().map(|s| s.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&scores), bits(&f.predict_scores(&rows)));
+        let mut t = DecisionTreeClassifier::new(CartParams::default(), 3);
+        t.fit(&cols, &y, 2);
+        let (labels, scores) = t.predict_with_scores(&rows);
+        assert_eq!(labels, t.predict(&rows));
+        let separate: Vec<f64> = rows.iter().map(|r| t.predict_proba_row(r)[1]).collect();
+        assert_eq!(bits(&scores), bits(&separate));
     }
 
     #[test]

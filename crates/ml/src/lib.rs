@@ -4,8 +4,9 @@
 //! `A(T(F), y)` whose runtime FASTFT works to avoid. Implemented here:
 //!
 //! - [`tree`]: CART decision trees (gini / variance criteria) with impurity
-//!   feature importances and LightGBM-style histogram split search over
-//!   the quantile bins of [`binning`].
+//!   feature importances and histogram split search over the quantile bins
+//!   of [`binning`]; a column-subsampled node builds histograms only for
+//!   its sampled features, straight from its rows.
 //! - [`binning`]: once-per-fit quantile discretisation of feature columns
 //!   into `u8` bin codes (plus a missing bin for NaN).
 //! - [`forest`]: bagged random forests, the default evaluator model used in

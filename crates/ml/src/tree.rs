@@ -4,14 +4,24 @@
 //! distribution leaves) and regression (variance impurity, mean leaves).
 //! Split search is histogram-based: every fit quantile-bins its features
 //! once into `u8` codes ([`BinnedMatrix`], at most
-//! [`MAX_BINS_LIMIT`] finite bins per feature), builds per-node
-//! gradient/count histograms in one `O(rows)` pass, scans bin boundaries
-//! instead of row boundaries, and derives the larger child's histogram by
-//! subtracting the smaller child from the parent, so only the smaller
-//! child is ever re-scanned. Histogram and row-index buffers are pooled
-//! across the whole fit. When the bins cover every distinct value the
-//! search finds the same partitions as the textbook sorted-rows search,
-//! which this module's tests keep as an oracle.
+//! [`MAX_BINS_LIMIT`] finite bins per feature) and scans bin boundaries
+//! instead of row boundaries, skipping empty bins. Where the per-node
+//! histograms come from depends on `max_features`:
+//!
+//! - **Subsampled** (every forest): a node's totals come from its rows,
+//!   and each sampled candidate's histogram is built straight from the
+//!   node's rows into one reused buffer, with its occupied bins marked in
+//!   a bitmap so the scan and the re-zeroing visit only those. A node
+//!   costs `O(rows × candidates)`; the other features cost nothing.
+//! - **Every feature a candidate** (single trees, boosting): each node
+//!   carries a histogram of all features, laid out back to back with
+//!   each feature's own bin count; only the smaller child's is built from
+//!   its rows, and the larger child's is the parent's minus it. Those
+//!   buffers are recycled across the fit.
+//!
+//! When the bins cover every distinct value the search finds the same
+//! partitions as the textbook sorted-rows search, which this module's
+//! tests keep as an oracle.
 //!
 //! NaN feature values are deterministic: prediction routes NaN right (any
 //! `NaN <= t` is false), and binning puts NaN into a dedicated missing bin
@@ -139,62 +149,225 @@ struct Cart {
     importances: Vec<f64>,
 }
 
-/// Pooled buffers for one fit: histogram buffers are
-/// recycled through a free list (peak ≈ tree depth + 1 alive at once) and
-/// one scratch vector serves every stable row partition, so growing a node
-/// allocates nothing once the pools are warm.
-struct HistWorkspace {
-    /// Recycled histogram buffers, each `n_features * stride * width`.
-    free: Vec<Vec<f64>>,
-    /// Histogram buffer length.
-    size: usize,
-    /// Right-side rows staging area for in-place stable partition.
-    scratch: Vec<usize>,
-}
-
-impl HistWorkspace {
-    fn new(size: usize, n_rows: usize) -> Self {
-        HistWorkspace { free: Vec::new(), size, scratch: Vec::with_capacity(n_rows) }
-    }
-
-    fn alloc(&mut self) -> Vec<f64> {
-        match self.free.pop() {
-            Some(mut buf) => {
-                buf.fill(0.0);
-                buf
-            }
-            None => vec![0.0; self.size],
-        }
-    }
-
-    fn release(&mut self, buf: Vec<f64>) {
-        self.free.push(buf);
-    }
-}
-
-/// Accumulate the histogram of `rows` over every feature into `hist`
-/// (assumed zeroed), laid out `[feature][bin][slot]` with uniform
-/// `stride` bins per feature.
-fn build_hist<C: Criterion>(binned: &BinnedMatrix, crit: &C, rows: &[usize], hist: &mut [f64]) {
-    let width = crit.hist_width();
-    let stride = binned.stride();
-    for f in 0..binned.n_features() {
-        let codes = binned.codes(f);
-        let base = f * stride * width;
-        for &r in rows {
-            let off = base + codes[r] as usize * width;
-            crit.hist_add(&mut hist[off..off + width], r);
-        }
-    }
-}
-
-/// The inputs that stay fixed while one tree grows.
+/// The inputs that stay fixed while one tree grows, plus the buffers
+/// every node reuses.
 struct Grow<'g, C> {
+    binned: &'g BinnedMatrix,
     crit: &'g C,
     params: &'g CartParams,
     /// Rows at the root, for weighting split importances.
     n_total: usize,
     rng: &'g mut StdRng,
+    /// When every feature is a candidate at every node: where each
+    /// feature's `n_bins + 1` bins start in a node's all-feature
+    /// histogram, with the total bin count last. Empty when features are
+    /// subsampled.
+    offsets: Vec<usize>,
+    /// Recycled all-feature histograms (peak ≈ tree depth + 1 alive).
+    spare: Vec<Vec<f64>>,
+    /// One candidate feature's histogram when features are subsampled,
+    /// sized for the feature with the most bins and all zero between
+    /// candidates.
+    hist: Vec<f64>,
+    /// Right-side rows staging area for the stable in-place partition.
+    right: Vec<usize>,
+}
+
+impl<'g, C: Criterion> Grow<'g, C> {
+    fn new(
+        binned: &'g BinnedMatrix,
+        crit: &'g C,
+        params: &'g CartParams,
+        n_total: usize,
+        rng: &'g mut StdRng,
+    ) -> Self {
+        let n_features = binned.n_features();
+        let bins = |f| binned.n_bins(f) + 1;
+        let (mut offsets, mut hist) = (Vec::new(), Vec::new());
+        if params.max_features.is_none_or(|k| k >= n_features) {
+            // Every feature is a candidate at every node, so each node
+            // carries all their histograms and children derive theirs by
+            // sibling subtraction.
+            offsets.push(0);
+            for f in 0..n_features {
+                offsets.push(offsets[f] + bins(f));
+            }
+        } else {
+            hist = vec![0.0; (0..n_features).map(bins).max().unwrap_or(1) * crit.hist_width()];
+        }
+        Grow {
+            binned,
+            crit,
+            params,
+            n_total,
+            rng,
+            offsets,
+            spare: Vec::new(),
+            hist,
+            right: Vec::with_capacity(n_total),
+        }
+    }
+
+    /// The all-feature histogram of `rows`, in a recycled buffer.
+    fn all_hist(&mut self, rows: &[usize]) -> Vec<f64> {
+        let width = self.crit.hist_width();
+        let mut hist = match self.spare.pop() {
+            Some(mut buf) => {
+                buf.fill(0.0);
+                buf
+            }
+            None => vec![0.0; self.offsets[self.offsets.len() - 1] * width],
+        };
+        for (f, &start) in self.offsets[..self.binned.n_features()].iter().enumerate() {
+            let codes = self.binned.codes(f);
+            for &r in rows {
+                let off = (start + codes[r] as usize) * width;
+                self.crit.hist_add(&mut hist[off..off + width], r);
+            }
+        }
+        hist
+    }
+
+    /// Stable in-place partition of `rows` on "code of `feature` <= `bin`";
+    /// returns the left size. Rows stay ascending inside each child
+    /// (cache-friendly histogram builds), and the order is deterministic.
+    fn partition(&mut self, rows: &mut [usize], feature: usize, bin: usize) -> usize {
+        let codes = self.binned.codes(feature);
+        self.right.clear();
+        let mut w = 0;
+        for i in 0..rows.len() {
+            let r = rows[i];
+            if (codes[r] as usize) <= bin {
+                rows[w] = r;
+                w += 1;
+            } else {
+                self.right.push(r);
+            }
+        }
+        rows[w..].copy_from_slice(&self.right);
+        w
+    }
+
+    /// Best split over the node's candidate features. A candidate's
+    /// histogram is its slice of the node's all-feature histogram `all`
+    /// when there is one, else it is built from `rows` alone.
+    ///
+    /// Returns `(feature, bin, impurity_decrease)` realising "code <= bin".
+    fn best_split(
+        &mut self,
+        rows: &[usize],
+        all: Option<&[f64]>,
+        node: &[f64],
+        parent_impurity: f64,
+    ) -> Option<(usize, usize, f64)> {
+        let crit = self.crit;
+        let width = crit.hist_width();
+        let mut scan = Scan::new(crit, self.params, node, parent_impurity);
+        for f in sample_features(self.params, self.binned.n_features(), self.rng) {
+            let nb = self.binned.n_bins(f);
+            if nb == 0 {
+                continue; // all-NaN column: nothing to split on
+            }
+            match all {
+                Some(all) => {
+                    let hist = &all[self.offsets[f] * width..self.offsets[f + 1] * width];
+                    scan.feature(f, hist, (0..nb).filter(|&b| hist[b * width] != 0.0));
+                }
+                None => {
+                    // Mark the occupied bins in a bitmap over the `u8`
+                    // code space, so a node holding a handful of rows
+                    // scans, and then re-zeroes, a handful of bins.
+                    let mut occupied = [0u64; 4];
+                    let codes = self.binned.codes(f);
+                    for &r in rows {
+                        let b = codes[r] as usize;
+                        occupied[b / 64] |= 1 << (b % 64);
+                        crit.hist_add(&mut self.hist[b * width..(b + 1) * width], r);
+                    }
+                    let finite = SetBits(occupied, 0).take_while(|&b| b < nb);
+                    scan.feature(f, &self.hist, finite);
+                    for b in SetBits(occupied, 0) {
+                        self.hist[b * width..(b + 1) * width].fill(0.0);
+                    }
+                }
+            }
+        }
+        scan.best
+    }
+}
+
+/// One node's split search: cumulative statistics over bin boundaries,
+/// keeping the first strictly best gain.
+struct Scan<'s, C> {
+    crit: &'s C,
+    params: &'s CartParams,
+    node: &'s [f64],
+    parent_impurity: f64,
+    left: Vec<f64>,
+    right: Vec<f64>,
+    /// `(feature, bin, impurity_decrease)` realising "code <= bin".
+    best: Option<(usize, usize, f64)>,
+}
+
+impl<'s, C: Criterion> Scan<'s, C> {
+    fn new(crit: &'s C, params: &'s CartParams, node: &'s [f64], parent_impurity: f64) -> Self {
+        let width = crit.hist_width();
+        let (left, right) = (vec![0.0; width], vec![0.0; width]);
+        Scan { crit, params, node, parent_impurity, left, right, best: None }
+    }
+
+    /// Scan feature `f`'s boundaries "code <= b" over its occupied finite
+    /// `bins`, ascending; an empty bin would repeat the previous
+    /// boundary's partition. The missing bin always stays on the right.
+    fn feature(&mut self, f: usize, hist: &[f64], bins: impl Iterator<Item = usize>) {
+        let (crit, params) = (self.crit, self.params);
+        let (left, right) = (&mut self.left, &mut self.right);
+        let width = left.len();
+        let n = self.node[0] as usize;
+        left.fill(0.0);
+        right.copy_from_slice(self.node);
+        for b in bins {
+            let acc = &hist[b * width..(b + 1) * width];
+            for k in 0..width {
+                left[k] += acc[k];
+                right[k] -= acc[k];
+            }
+            let n_left = left[0] as usize;
+            let n_right = n - n_left;
+            if n_left == 0 || n_right == 0 {
+                continue;
+            }
+            if n_left < params.min_samples_leaf || n_right < params.min_samples_leaf {
+                continue;
+            }
+            let child = (n_left as f64 * crit.hist_impurity(left)
+                + n_right as f64 * crit.hist_impurity(right))
+                / n as f64;
+            let gain = self.parent_impurity - child;
+            if gain > 1e-12 && self.best.is_none_or(|(_, _, g)| gain > g) {
+                self.best = Some((f, b, gain));
+            }
+        }
+    }
+}
+
+/// Ascending indices of the set bits of a 256-bit map, from word `.1` on.
+struct SetBits([u64; 4], usize);
+
+impl Iterator for SetBits {
+    type Item = usize;
+
+    fn next(&mut self) -> Option<usize> {
+        while let Some(bits) = self.0.get_mut(self.1) {
+            if *bits != 0 {
+                let b = bits.trailing_zeros() as usize;
+                *bits &= *bits - 1;
+                return Some(self.1 * 64 + b);
+            }
+            self.1 += 1;
+        }
+        None
+    }
 }
 
 impl Cart {
@@ -206,21 +379,10 @@ impl Cart {
         mut rows: Vec<usize>,
         rng: &mut StdRng,
     ) -> Cart {
-        let n_features = binned.n_features();
-        let n_total = rows.len();
-        let mut tree = Cart { nodes: Vec::new(), importances: vec![0.0; n_features] };
-        let width = crit.hist_width();
-        let mut ws = HistWorkspace::new(n_features * binned.stride() * width, n_total);
-        let mut root = ws.alloc();
-        build_hist(binned, crit, &rows, &mut root);
-        tree.grow_hist(
-            binned,
-            &mut Grow { crit, params, n_total, rng },
-            &mut ws,
-            &mut rows,
-            root,
-            0,
-        );
+        let mut tree = Cart { nodes: Vec::new(), importances: vec![0.0; binned.n_features()] };
+        let mut g = Grow::new(binned, crit, params, rows.len(), rng);
+        let all = (!g.offsets.is_empty()).then(|| g.all_hist(&rows));
+        tree.grow_hist(&mut g, &mut rows, all, 0);
         tree.normalise_importances();
         tree
     }
@@ -235,30 +397,36 @@ impl Cart {
         }
     }
 
-    /// Recursively grow a subtree; returns its root node
-    /// index. `hist` is this node's histogram (ownership transfers in:
-    /// it is either recycled into `ws` or reused for the larger child).
+    /// Recursively grow a subtree; returns its root node index. `all` is
+    /// the node's all-feature histogram when every feature is a candidate
+    /// (ownership transfers in: it is recycled, or reused for the larger
+    /// child).
     fn grow_hist<C: Criterion>(
         &mut self,
-        binned: &BinnedMatrix,
         g: &mut Grow<'_, C>,
-        ws: &mut HistWorkspace,
         rows: &mut [usize],
-        hist: Vec<f64>,
+        all: Option<Vec<f64>>,
         depth: usize,
     ) -> usize {
-        let (crit, params, n_total) = (g.crit, g.params, g.n_total);
+        let (crit, params) = (g.crit, g.params);
         let n = rows.len();
         let width = crit.hist_width();
-        // Node-level stats: every row lands in exactly one bin of feature
-        // 0 (including its missing bin), so summing that feature's bins
-        // recovers the node totals.
+        // Node totals. Every row lands in exactly one bin of feature 0
+        // (its missing bin included), so an all-feature histogram holds
+        // them in that feature's bins; otherwise they come from the rows.
         let mut node = vec![0.0; width];
-        if binned.n_features() > 0 {
-            for b in 0..=binned.n_bins(0) {
-                let off = b * width;
-                for (k, slot) in node.iter_mut().enumerate() {
-                    *slot += hist[off + k];
+        match &all {
+            Some(hist) => {
+                let first = g.offsets.get(1).map_or(0, |&end| end * width);
+                for bin in hist[..first].chunks_exact(width) {
+                    for (slot, v) in node.iter_mut().zip(bin) {
+                        *slot += v;
+                    }
+                }
+            }
+            None => {
+                for &r in rows.iter() {
+                    crit.hist_add(&mut node, r);
                 }
             }
         }
@@ -267,49 +435,32 @@ impl Cart {
         let make_leaf =
             depth >= params.max_depth || n < params.min_samples_split || impurity <= 1e-12;
         if !make_leaf {
-            if let Some((feature, bin, gain)) =
-                best_split_hist(binned, crit, params, &hist, &node, impurity, g.rng)
+            if let Some((feature, bin, gain)) = g.best_split(rows, all.as_deref(), &node, impurity)
             {
-                let threshold = binned.threshold(feature, bin);
-                self.importances[feature] += gain * n as f64 / n_total as f64;
-                // Stable in-place partition on bin codes keeps rows in
-                // ascending order inside each child (cache-friendly
-                // histogram scans) and is deterministic.
-                let codes = binned.codes(feature);
-                ws.scratch.clear();
-                let mut w = 0;
-                for i in 0..n {
-                    let r = rows[i];
-                    if (codes[r] as usize) <= bin {
-                        rows[w] = r;
-                        w += 1;
-                    } else {
-                        ws.scratch.push(r);
-                    }
-                }
-                rows[w..].copy_from_slice(&ws.scratch);
+                let threshold = g.binned.threshold(feature, bin);
+                self.importances[feature] += gain * n as f64 / g.n_total as f64;
+                let w = g.partition(rows, feature, bin);
                 let (left_rows, right_rows) = rows.split_at_mut(w);
-                // Sibling subtraction: scan only the smaller child; the
-                // larger child's histogram is parent − smaller, reusing
-                // the parent's buffer.
-                let left_smaller = left_rows.len() <= right_rows.len();
-                let mut small = ws.alloc();
-                build_hist(
-                    binned,
-                    crit,
-                    if left_smaller { &*left_rows } else { &*right_rows },
-                    &mut small,
-                );
-                let mut large = hist;
-                for (l, s) in large.iter_mut().zip(&small) {
-                    *l -= *s;
-                }
-                let (left_hist, right_hist) =
-                    if left_smaller { (small, large) } else { (large, small) };
+                // Sibling subtraction: build only the smaller child; the
+                // larger child's histogram is parent − smaller, in the
+                // parent's buffer.
+                let (left_all, right_all) = match all {
+                    Some(mut large) => {
+                        let left_smaller = left_rows.len() <= right_rows.len();
+                        let small =
+                            g.all_hist(if left_smaller { &*left_rows } else { &*right_rows });
+                        for (l, s) in large.iter_mut().zip(&small) {
+                            *l -= *s;
+                        }
+                        let (l, r) = if left_smaller { (small, large) } else { (large, small) };
+                        (Some(l), Some(r))
+                    }
+                    None => (None, None),
+                };
                 let idx = self.nodes.len();
                 self.nodes.push(Node::Split { feature, threshold, left: 0, right: 0 });
-                let left = self.grow_hist(binned, g, ws, left_rows, left_hist, depth + 1);
-                let right = self.grow_hist(binned, g, ws, right_rows, right_hist, depth + 1);
+                let left = self.grow_hist(g, left_rows, left_all, depth + 1);
+                let right = self.grow_hist(g, right_rows, right_all, depth + 1);
                 if let Node::Split { left: l, right: r, .. } = &mut self.nodes[idx] {
                     *l = left;
                     *r = right;
@@ -317,7 +468,7 @@ impl Cart {
                 return idx;
             }
         }
-        ws.release(hist);
+        g.spare.extend(all);
         let idx = self.nodes.len();
         self.nodes.push(Node::Leaf { value: crit.hist_leaf(&node) });
         idx
@@ -357,65 +508,6 @@ fn sample_features(params: &CartParams, n_features: usize, rng: &mut StdRng) -> 
     }
 }
 
-/// Histogram best split over (subsampled) features: scan bin boundaries
-/// with cumulative statistics; the missing bin (highest code) always
-/// stays on the right.
-///
-/// Returns `(feature, bin, impurity_decrease)` realising "code <= bin".
-fn best_split_hist<C: Criterion>(
-    binned: &BinnedMatrix,
-    crit: &C,
-    params: &CartParams,
-    hist: &[f64],
-    node: &[f64],
-    parent_impurity: f64,
-    rng: &mut StdRng,
-) -> Option<(usize, usize, f64)> {
-    let n = node[0] as usize;
-    let feature_idx = sample_features(params, binned.n_features(), rng);
-    let width = crit.hist_width();
-    let stride = binned.stride();
-    let mut best: Option<(usize, usize, f64)> = None;
-    let mut left = vec![0.0; width];
-    let mut right = vec![0.0; width];
-    for &f in &feature_idx {
-        let nb = binned.n_bins(f);
-        if nb == 0 {
-            continue; // all-NaN column: nothing to split on
-        }
-        left.fill(0.0);
-        right.copy_from_slice(node);
-        let base = f * stride * width;
-        for b in 0..nb {
-            let off = base + b * width;
-            if hist[off] == 0.0 {
-                // Empty bin: identical partition to the previous boundary.
-                continue;
-            }
-            for k in 0..width {
-                left[k] += hist[off + k];
-                right[k] -= hist[off + k];
-            }
-            let n_left = left[0] as usize;
-            let n_right = n - n_left;
-            if n_left == 0 || n_right == 0 {
-                continue;
-            }
-            if n_left < params.min_samples_leaf || n_right < params.min_samples_leaf {
-                continue;
-            }
-            let child = (n_left as f64 * crit.hist_impurity(&left)
-                + n_right as f64 * crit.hist_impurity(&right))
-                / n as f64;
-            let gain = parent_impurity - child;
-            if gain > 1e-12 && best.is_none_or(|(_, _, g)| gain > g) {
-                best = Some((f, b, gain));
-            }
-        }
-    }
-    best
-}
-
 /// A CART classifier. Fit on column-major features and integer labels.
 #[derive(Debug, Clone)]
 pub struct DecisionTreeClassifier {
@@ -453,19 +545,32 @@ impl DecisionTreeClassifier {
         self.n_classes = n_classes;
     }
 
-    /// Class-probability vector for one row.
-    pub fn predict_proba_row(&self, row: &[f64]) -> Vec<f64> {
-        self.tree.as_ref().expect("fit first").predict_row(row).to_vec()
+    /// Class-probability vector for one row: the distribution of the leaf
+    /// it lands in.
+    pub fn predict_proba_row(&self, row: &[f64]) -> &[f64] {
+        self.tree.as_ref().expect("fit first").predict_row(row)
     }
 
     /// Hard label for one row.
     pub fn predict_row(&self, row: &[f64]) -> usize {
-        argmax(self.tree.as_ref().expect("fit first").predict_row(row))
+        argmax(self.predict_proba_row(row))
     }
 
     /// Hard labels for a row-major batch.
     pub fn predict(&self, rows: &[Vec<f64>]) -> Vec<usize> {
         rows.iter().map(|r| self.predict_row(r)).collect()
+    }
+
+    /// Hard labels and positive-class (class 1) scores for a row-major
+    /// batch, one tree walk per row.
+    pub fn predict_with_scores(&self, rows: &[Vec<f64>]) -> (Vec<usize>, Vec<f64>) {
+        let positive = 1.min(self.n_classes - 1);
+        rows.iter()
+            .map(|r| {
+                let p = self.predict_proba_row(r);
+                (argmax(p), p[positive])
+            })
+            .unzip()
     }
 
     /// Normalised impurity-decrease feature importances.
@@ -664,8 +769,9 @@ mod tests {
     ) -> Cart {
         let mut rng = rngx::rng(seed);
         let mut tree = Cart { nodes: Vec::new(), importances: vec![0.0; columns.len()] };
-        let n_total = rows.len();
-        grow_exact(&mut tree, columns, &mut Grow { crit, params, n_total, rng: &mut rng }, rows, 0);
+        let binned = BinnedMatrix::build(columns, MAX_BINS_LIMIT);
+        let mut g = Grow::new(&binned, crit, params, rows.len(), &mut rng);
+        grow_exact(&mut tree, columns, &mut g, rows, 0);
         tree.normalise_importances();
         tree
     }

@@ -1,10 +1,10 @@
 //! Pooled scratch buffers for the neural hot path.
 //!
-//! [`NnWorkspace`] mirrors the `HistWorkspace` pattern from the tree stack:
-//! every transient buffer the fused recurrent kernels need (input-projection
-//! matrices, recurrent states, per-timestep gradient rows) is taken from the
-//! pool and given back when the call returns, so steady-state predict/train
-//! reuses the same handful of allocations instead of allocating per timestep.
+//! [`NnWorkspace`] is a free-list of buffers: every transient buffer the
+//! fused recurrent kernels need (input-projection matrices, recurrent
+//! states, per-timestep gradient rows) is taken from the pool and given
+//! back when the call returns, so steady-state predict/train reuses the
+//! same handful of allocations instead of allocating per timestep.
 
 use crate::matrix::Matrix;
 

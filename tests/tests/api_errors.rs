@@ -145,3 +145,36 @@ fn resume_rejects_unbuildable_encoders() {
         assert!(matches!(err, FastFtError::InvalidConfig(_)), "{encoder:?}: got {err:?}");
     }
 }
+
+fn pima(rows: usize) -> Dataset {
+    let mut d = datagen::generate_capped(datagen::by_name("pima_indian").unwrap(), rows, 0);
+    d.sanitize();
+    d
+}
+
+#[test]
+fn evaluate_fold_rejects_empty_train_split() {
+    let d = pima(100);
+    let test: Vec<usize> = (80..100).collect();
+    let err = Evaluator::default().evaluate_fold(&d, &[], &test).unwrap_err();
+    assert!(matches!(err, FastFtError::Evaluation(_)), "got {err:?}");
+}
+
+#[test]
+fn evaluate_fold_rejects_out_of_range_test_index() {
+    let d = pima(100);
+    let train: Vec<usize> = (0..80).collect();
+    let err = Evaluator::default().evaluate_fold(&d, &train, &[90, 100]).unwrap_err();
+    match err {
+        FastFtError::Evaluation(m) => assert!(m.contains("100"), "{m}"),
+        other => panic!("expected Evaluation, got {other:?}"),
+    }
+}
+
+#[test]
+fn evaluate_fold_rejects_empty_test_split() {
+    let d = pima(100);
+    let train: Vec<usize> = (0..80).collect();
+    let err = Evaluator::default().evaluate_fold(&d, &train, &[]).unwrap_err();
+    assert!(matches!(err, FastFtError::Evaluation(_)), "got {err:?}");
+}

@@ -124,3 +124,78 @@ fn histogram_evaluation_is_repeatable() {
     let b = ev.evaluate(&data).unwrap();
     assert_eq!(a.to_bits(), b.to_bits());
 }
+
+/// Classification and detection inputs wide enough that forests subsample
+/// columns (`d ≥ 9`) and long enough that every column is quantile-binned
+/// (more than 255 distinct values in each training fold).
+fn wide_discrete(name: &str) -> fastft_tabular::Dataset {
+    const ROWS: usize = 700;
+    let mut d = match name {
+        // The catalog's `wbc` detection analog caps at 278 rows, so the
+        // same shape is generated directly at the larger size.
+        "wbc" => datagen::generate_custom(
+            name,
+            fastft_tabular::TaskType::Detection,
+            ROWS,
+            30,
+            2,
+            datagen::GenConfig::default(),
+            &mut fastft_tabular::rngx::rng(0),
+        ),
+        _ => datagen::generate_capped(datagen::by_name(name).unwrap(), ROWS, 0),
+    };
+    d.sanitize();
+    d
+}
+
+/// Default 5-fold CV means as `f64` bits, per `(dataset, [(model, bits)])`.
+/// Forest and single-tree histograms hold exact integer class counts, so
+/// any change to how a classification split is found must leave their
+/// bits alone. Boosting fits regression trees to gradients, so its bits
+/// also pin the all-feature histogram path (every feature a candidate)
+/// that those trees take.
+const DISCRETE_MEAN_BITS: [(&str, [(ModelKind, u64); 3]); 3] = [
+    (
+        "svmguide3", // binary classification, 21 columns
+        [
+            (ModelKind::RandomForest, 0x3fe79fc0b725665a),
+            (ModelKind::GradientBoosting, 0x3fe8159016f2f09f),
+            (ModelKind::DecisionTree, 0x3fe6279981e8d5db),
+        ],
+    ),
+    (
+        "fetal_health", // 3-class classification, 22 columns
+        [
+            (ModelKind::RandomForest, 0x3fe0f7a5d8ad8da0),
+            (ModelKind::GradientBoosting, 0x3fe07174cf1437fc),
+            (ModelKind::DecisionTree, 0x3fded635d20ffd9d),
+        ],
+    ),
+    (
+        "wbc", // detection (AUC), 30 columns
+        [
+            (ModelKind::RandomForest, 0x3fec4a929d9d56f3),
+            (ModelKind::GradientBoosting, 0x3fed268d1dc08945),
+            (ModelKind::DecisionTree, 0x3fe86059c050f3bc),
+        ],
+    ),
+];
+
+/// The tree stack's classification and detection CV means are pinned bit
+/// for bit. `FASTFT_GOLDEN_CAPTURE=1` prints the live bits instead of
+/// asserting.
+#[test]
+fn discrete_cv_means_match_golden_bits() {
+    let capture = std::env::var("FASTFT_GOLDEN_CAPTURE").is_ok();
+    for (name, models) in DISCRETE_MEAN_BITS {
+        let data = wide_discrete(name);
+        for (model, bits) in models {
+            let mean = Evaluator { model, ..Evaluator::default() }.evaluate(&data).unwrap();
+            if capture {
+                println!("{name} {model:?} {:#018x} ({mean})", mean.to_bits());
+            } else {
+                assert_eq!(mean.to_bits(), bits, "{model:?} on {name}: {mean}");
+            }
+        }
+    }
+}
