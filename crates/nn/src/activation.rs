@@ -63,13 +63,17 @@ impl Activation {
     }
 }
 
-/// Numerically-stable logistic sigmoid.
+/// Numerically-stable logistic sigmoid: `1 / (1 + e^-v)` for `v ≥ 0`,
+/// `e^v / (1 + e^v)` below. Both branches exponentiate `-|v|`, so the one
+/// `exp` is taken before the sign test and the branch only selects a
+/// quotient, which compiles without a data-dependent jump.
 pub fn sigmoid(v: f64) -> f64 {
+    let e = (-v.abs()).exp();
+    let d = 1.0 + e;
     if v >= 0.0 {
-        1.0 / (1.0 + (-v).exp())
+        1.0 / d
     } else {
-        let e = v.exp();
-        e / (1.0 + e)
+        e / d
     }
 }
 
@@ -101,6 +105,24 @@ mod tests {
     fn sigmoid_symmetry() {
         assert!((sigmoid(0.0) - 0.5).abs() < 1e-12);
         assert!((sigmoid(3.0) + sigmoid(-3.0) - 1.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn sigmoid_matches_two_branch_form_bitwise() {
+        let two_branch = |v: f64| {
+            if v >= 0.0 {
+                1.0 / (1.0 + (-v).exp())
+            } else {
+                let e = v.exp();
+                e / (1.0 + e)
+            }
+        };
+        let specials = [0.0, -0.0, 1e-300, -1e-300, 37.0, -37.0, 800.0, -800.0];
+        let sweep = (-400..=400).map(|i| f64::from(i) * 0.0731);
+        for v in specials.into_iter().chain(sweep).chain([f64::INFINITY, f64::NEG_INFINITY]) {
+            assert_eq!(sigmoid(v).to_bits(), two_branch(v).to_bits(), "sigmoid({v})");
+        }
+        assert!(sigmoid(f64::NAN).is_nan());
     }
 
     #[test]

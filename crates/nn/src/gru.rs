@@ -11,7 +11,7 @@
 use crate::activation::sigmoid;
 use crate::init;
 use crate::matrix::{Matrix, Tensor};
-use crate::recurrent::{dot, Cache, Cell, Recurrent, RecurrentLayer};
+use crate::recurrent::{Cache, Cell, Recurrent, RecurrentLayer};
 use fastft_tabular::rngx::StdRng;
 
 /// GRU gate math (`[r | z | n]`).
@@ -65,7 +65,6 @@ impl Cell for GruCell {
     /// `dzx` and `dzh` share the `r`/`z` slots; the `n` slot of `dzh` is
     /// scaled by `r`, which multiplies `h Whn` inside the candidate.
     fn backward_step(
-        wh: &Matrix,
         cache: &Cache,
         t: usize,
         dh_next: &mut [f64],
@@ -73,7 +72,7 @@ impl Cell for GruCell {
         dzx: &mut [f64],
         dzh: &mut [f64],
     ) {
-        let h = wh.rows;
+        let h = dh_next.len();
         let gates = cache.gates.row(t);
         let hn_lin = cache.extra.row(t);
         for j in 0..h {
@@ -97,12 +96,9 @@ impl Cell for GruCell {
             dzh[j] = dzr;
             dzx[h + j] = dzz;
             dzh[h + j] = dzz;
-            // Direct h_prev pathway through the update gate; the Whᵀ
-            // pathway is added below once dzh_t is complete.
+            // Direct h_prev pathway through the update gate; the layer adds
+            // the Whᵀ pathway once dzh_t is complete.
             dh_next[j] = dh * z;
-        }
-        for (k, dhv) in dh_next.iter_mut().enumerate() {
-            *dhv += dot(wh.row(k), dzh);
         }
     }
 }

@@ -8,7 +8,7 @@
 use crate::activation::sigmoid;
 use crate::init;
 use crate::matrix::{Matrix, Tensor};
-use crate::recurrent::{dot, Cache, Cell, Recurrent, RecurrentLayer};
+use crate::recurrent::{Cache, Cell, Recurrent, RecurrentLayer};
 use fastft_tabular::rngx::StdRng;
 
 /// LSTM gate math (`[i | f | g | o]`, cell state `c`).
@@ -66,7 +66,6 @@ impl Cell for LstmCell {
     }
 
     fn backward_step(
-        wh: &Matrix,
         cache: &Cache,
         t: usize,
         dh_next: &mut [f64],
@@ -74,7 +73,7 @@ impl Cell for LstmCell {
         dz: &mut [f64],
         _dzh: &mut [f64],
     ) {
-        let h = wh.rows;
+        let h = dh_next.len();
         let gates = cache.gates.row(t);
         let cells = &cache.extra;
         for j in 0..h {
@@ -95,10 +94,8 @@ impl Cell for LstmCell {
             dz[2 * h + j] = d_g * (1.0 - gg * gg);
             dz[3 * h + j] = d_o * o * (1.0 - o);
         }
-        // dh_prev = dz Whᵀ.
-        for (k, dhv) in dh_next.iter_mut().enumerate() {
-            *dhv = dot(wh.row(k), dz);
-        }
+        // h_{t-1} reaches the loss only through Wh.
+        dh_next.fill(-0.0);
     }
 }
 

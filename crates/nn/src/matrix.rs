@@ -1,6 +1,93 @@
 //! Row-major `f64` matrices and gradient-carrying parameter tensors.
+//!
+//! Every dense product on the recurrent hot path ([`Matrix::addmm_into`],
+//! [`Matrix::add_matmul_tn`], and through them the recurrent layers'
+//! backward products) runs one register-blocked kernel, `accumulate`. It
+//! walks each output row in strips of `STRIP` columns and holds a strip
+//! in a local array across the whole reduction, so the reduction loop
+//! neither reloads nor stores its outputs and the compiler keeps them in
+//! vector registers. Blocking changes only which elements are in flight,
+//! never how one element is summed: each output element starts from its
+//! current value and adds its `a·b` terms one at a time in ascending
+//! reduction index, with no fused multiply-add and no reassociation, so
+//! the result is bitwise that of the naive k-ascending loop. A caller that
+//! wants `Iterator::sum`'s bits seeds `out` with `-0.0`, the value that
+//! sum starts from (the additive identity, so `-0.0 + x` is `x` for every
+//! `x`, zeros of either sign included).
 
 use std::ops::{Index, IndexMut};
+
+/// Output columns the `accumulate` kernel keeps in registers at a time.
+const STRIP: usize = 16;
+
+/// `out[i][j] += Σ_k A(i, k) · b[k][j]`: `b` is row-major with `n`
+/// columns and `b.len() / n` rows (the reduction depth), `out` is
+/// row-major with `n` columns, and `A(i, k) = a[i·a_row + k·a_k]`, so
+/// `(a_row, a_k) = (depth, 1)` reads `a` row-major and `(1, rows)` reads it
+/// transposed (each strided row of `A` is gathered into a contiguous
+/// buffer first). Each output element adds its terms in ascending `k`,
+/// starting from its value in `out` (see the module docs).
+///
+/// # Panics
+/// Panics if `b` or `out` is not a whole number of `n`-wide rows, or if `a`
+/// is too short for the strides.
+pub(crate) fn accumulate(
+    a: &[f64],
+    (a_row, a_k): (usize, usize),
+    b: &[f64],
+    n: usize,
+    out: &mut [f64],
+) {
+    if n == 0 || out.is_empty() {
+        return;
+    }
+    assert!(b.len().is_multiple_of(n) && out.len().is_multiple_of(n), "accumulate shape");
+    let (rows, depth) = (out.len() / n, b.len() / n);
+    if depth == 0 {
+        return;
+    }
+    assert!((rows - 1) * a_row + (depth - 1) * a_k < a.len(), "accumulate lhs shape");
+    let mut gathered = Vec::new();
+    for (i, o_row) in out.chunks_exact_mut(n).enumerate() {
+        let a_i = if a_k == 1 {
+            &a[i * a_row..i * a_row + depth]
+        } else {
+            gathered.clear();
+            gathered.extend(a[i * a_row..].iter().step_by(a_k).take(depth));
+            &gathered[..]
+        };
+        accumulate_row(a_i, b, n, o_row);
+    }
+}
+
+/// One output row of `accumulate`: `o_row[j] += Σ_k a[k] · b[k][j]`,
+/// one `STRIP`-wide strip at a time, then the narrower tail.
+fn accumulate_row(a: &[f64], b: &[f64], n: usize, o_row: &mut [f64]) {
+    let (strips, tail) = o_row.as_chunks_mut::<STRIP>();
+    for (s, o) in strips.iter_mut().enumerate() {
+        let j0 = s * STRIP;
+        let mut acc = *o;
+        for (&av, b_row) in a.iter().zip(b.chunks_exact(n)) {
+            let b_strip: &[f64; STRIP] =
+                b_row[j0..j0 + STRIP].try_into().expect("a strip is STRIP wide");
+            for (acc, &bv) in acc.iter_mut().zip(b_strip) {
+                *acc += av * bv;
+            }
+        }
+        *o = acc;
+    }
+    if !tail.is_empty() {
+        let (j0, w) = (n - tail.len(), tail.len());
+        let mut acc = [0.0; STRIP];
+        acc[..w].copy_from_slice(tail);
+        for (&av, b_row) in a.iter().zip(b.chunks_exact(n)) {
+            for (acc, &bv) in acc[..w].iter_mut().zip(&b_row[j0..]) {
+                *acc += av * bv;
+            }
+        }
+        tail.copy_from_slice(&acc[..w]);
+    }
+}
 
 /// A dense row-major matrix of `f64`. Activations and intermediate values
 /// use this type; trainable parameters use [`Tensor`].
@@ -118,52 +205,43 @@ impl Matrix {
 
     /// `out += selfᵀ @ other` — dense accumulate (no zero-skip), used by the
     /// fused recurrent backward passes to hoist `dW += Xᵀ dZ` out of the
-    /// time loop. Row order ascends, so every caller shares one
-    /// deterministic summation order.
+    /// time loop. Runs the `accumulate` kernel, so each element sums over
+    /// rows in ascending order.
     pub fn add_matmul_tn(&self, other: &Matrix, out: &mut Matrix) {
         assert_eq!(self.rows, other.rows, "add_matmul_tn shape");
         assert_eq!((out.rows, out.cols), (self.cols, other.cols), "add_matmul_tn out shape");
-        for r in 0..self.rows {
-            let a_row = self.row(r);
-            let b_row = other.row(r);
-            for (i, &a) in a_row.iter().enumerate() {
-                let o_row = &mut out.data[i * other.cols..(i + 1) * other.cols];
-                for (o, &b) in o_row.iter_mut().zip(b_row) {
-                    *o += a * b;
-                }
-            }
-        }
+        accumulate(&self.data, (1, self.cols), &other.data, other.cols, &mut out.data);
     }
 
     /// `out += a @ self` over a flat row-major slice pair: `a` is
     /// `rows × self.rows`, `out` is `rows × self.cols`. Dense accumulate
-    /// (no zero-skip) with a k-ascending inner order, so the fused recurrent
-    /// kernels and the batched/prefix-resumed paths built on them all share
-    /// one bitwise-deterministic summation order.
+    /// (no zero-skip) through the `accumulate` kernel, so the fused
+    /// recurrent kernels and the batched/prefix-resumed paths built on them
+    /// all share one bitwise-deterministic, k-ascending summation order.
     pub fn addmm_into(&self, a: &[f64], rows: usize, out: &mut [f64]) {
         assert_eq!(a.len(), rows * self.rows, "addmm_into lhs shape");
         assert_eq!(out.len(), rows * self.cols, "addmm_into out shape");
-        for i in 0..rows {
-            let a_row = &a[i * self.rows..(i + 1) * self.rows];
-            let o_row = &mut out[i * self.cols..(i + 1) * self.cols];
-            for (k, &av) in a_row.iter().enumerate() {
-                let b_row = &self.data[k * self.cols..(k + 1) * self.cols];
-                for (o, &b) in o_row.iter_mut().zip(b_row) {
-                    *o += av * b;
-                }
-            }
-        }
+        accumulate(a, (self.rows, 1), &self.data, self.cols, out);
     }
 
     /// Transposed copy.
     pub fn transpose(&self) -> Matrix {
         let mut out = Matrix::zeros(self.cols, self.rows);
+        self.transpose_into(&mut out.data);
+        out
+    }
+
+    /// Write the transpose (`cols × rows`, row-major) into `out`.
+    ///
+    /// # Panics
+    /// Panics if `out.len() != rows * cols`.
+    pub(crate) fn transpose_into(&self, out: &mut [f64]) {
+        assert_eq!(out.len(), self.data.len(), "transpose_into shape");
         for i in 0..self.rows {
             for j in 0..self.cols {
-                out.data[j * self.rows + i] = self.data[i * self.cols + j];
+                out[j * self.rows + i] = self.data[i * self.cols + j];
             }
         }
-        out
     }
 
     /// Elementwise addition in place.
@@ -361,6 +439,132 @@ mod tests {
         a.add_matmul_tn(&b, &mut out);
         expect.add_assign(&a.matmul_tn(&b));
         assert_eq!(out, expect);
+    }
+
+    /// Deterministic values spread over many binades, so that any change
+    /// in summation order shows in the low bits.
+    fn spread(len: usize, seed: u64) -> Vec<f64> {
+        let mut state = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1;
+        (0..len)
+            .map(|_| {
+                state = state.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
+                let unit = (state >> 11) as f64 / (1u64 << 53) as f64 - 0.5;
+                unit * f64::powi(2.0, (state % 21) as i32 - 10)
+            })
+            .collect()
+    }
+
+    /// `out[i][j] += Σ_k a(i, k) · b[k][j]`, one term at a time in
+    /// ascending `k`: the order the blocked kernel must reproduce.
+    fn naive(a: impl Fn(usize, usize) -> f64, b: &Matrix, out: &mut [f64]) {
+        for (i, o_row) in out.chunks_exact_mut(b.cols).enumerate() {
+            for (j, o) in o_row.iter_mut().enumerate() {
+                for k in 0..b.rows {
+                    *o += a(i, k) * b[(k, j)];
+                }
+            }
+        }
+    }
+
+    fn assert_bits(got: &[f64], want: &[f64], what: &str) {
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(got), bits(want), "{what}");
+    }
+
+    #[test]
+    fn blocked_kernel_matches_naive_loops_bitwise() {
+        for n in [1, 5, 15, 16, 17, 33, 128] {
+            for rows in [1, 3, 100] {
+                for depth in [1, 9, 40] {
+                    let what = format!("n {n}, rows {rows}, depth {depth}");
+                    let seed = (n * 1000 + rows * 10 + depth) as u64;
+                    let b = Matrix::from_vec(depth, n, spread(depth * n, seed));
+                    let init = spread(rows * n, seed + 1);
+
+                    // addmm_into: out += A B, A row-major rows × depth.
+                    let a = Matrix::from_vec(rows, depth, spread(rows * depth, seed + 2));
+                    let mut got = init.clone();
+                    b.addmm_into(&a.data, rows, &mut got);
+                    let mut want = init.clone();
+                    naive(|i, k| a[(i, k)], &b, &mut want);
+                    assert_bits(&got, &want, &format!("addmm_into {what}"));
+
+                    // add_matmul_tn: out += Aᵀ B, A depth × rows.
+                    let at = Matrix::from_vec(depth, rows, spread(depth * rows, seed + 3));
+                    let mut got = Matrix::from_vec(rows, n, init.clone());
+                    at.add_matmul_tn(&b, &mut got);
+                    let mut want = init.clone();
+                    naive(|i, k| at[(k, i)], &b, &mut want);
+                    assert_bits(&got.data, &want, &format!("add_matmul_tn {what}"));
+
+                    // The transposed product of the recurrent backward:
+                    // dot products over the rows of W (n × depth), run as
+                    // A Wᵀ from -0.0, must equal `Iterator::sum`.
+                    let w = b.transpose();
+                    let mut got = vec![-0.0; rows * n];
+                    b.addmm_into(&a.data, rows, &mut got);
+                    let want: Vec<f64> = (0..rows)
+                        .flat_map(|i| (0..n).map(move |j| (i, j)))
+                        .map(|(i, j)| w.row(j).iter().zip(a.row(i)).map(|(w, a)| w * a).sum())
+                        .collect();
+                    assert_bits(&got, &want, &format!("transposed product {what}"));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn blocked_kernel_propagates_nan_and_infinity() {
+        // Width 17: one full strip plus a one-column tail.
+        let n = 17;
+        let mut b = Matrix::from_vec(3, n, spread(3 * n, 5));
+        b[(0, 0)] = f64::NAN;
+        b[(0, 16)] = f64::INFINITY;
+        b[(1, 3)] = f64::INFINITY;
+        b[(2, 3)] = f64::NEG_INFINITY;
+        b[(1, 5)] = f64::INFINITY;
+        let a = [0.0, 1.0, 0.5];
+        let mut got = vec![0.0; n];
+        b.addmm_into(&a, 1, &mut got);
+        assert!(got[0].is_nan(), "0·NaN must propagate");
+        assert!(got[16].is_nan(), "0·∞ must propagate in the tail");
+        assert!(got[3].is_nan(), "∞ − ∞ is NaN");
+        assert_eq!(got[5], f64::INFINITY);
+        let mut want = vec![0.0; n];
+        naive(|_, k| a[k], &b, &mut want);
+        for (j, (g, w)) in got.iter().zip(&want).enumerate() {
+            assert!(g.to_bits() == w.to_bits() || (g.is_nan() && w.is_nan()), "col {j}");
+        }
+        // A NaN already in `out` survives the accumulation.
+        let mut out = vec![f64::NAN; n];
+        b.addmm_into(&[1.0, 1.0, 1.0], 1, &mut out);
+        assert!(out.iter().all(|v| v.is_nan()));
+    }
+
+    #[test]
+    fn all_zero_products_keep_the_sign_of_iterator_sum() {
+        // Every product is -0.0 (0 · negative) in columns 0..16 and +0.0 in
+        // the 3-wide tail: `Iterator::sum` gives -0.0 and +0.0, and so must
+        // the kernel seeded with -0.0. A +0.0 seed would turn -0.0 into +0.0.
+        let (depth, n) = (4, 19);
+        let b = Matrix::from_vec(
+            depth,
+            n,
+            (0..depth * n).map(|i| if i % n < 16 { -1.5 } else { 2.0 }).collect(),
+        );
+        let a = vec![0.0; depth];
+        let mut got = vec![-0.0; n];
+        b.addmm_into(&a, 1, &mut got);
+        let w = b.transpose();
+        let want: Vec<f64> =
+            (0..n).map(|j| w.row(j).iter().zip(&a).map(|(w, a)| w * a).sum()).collect();
+        assert_bits(&got, &want, "zero products");
+        assert!(got[..16].iter().all(|v| v.is_sign_negative()));
+        assert!(got[16..].iter().all(|v| v.is_sign_positive()));
+        // An empty reduction leaves the seed: `Iterator::sum` of nothing.
+        let mut empty = vec![-0.0; 3];
+        Matrix::zeros(0, 3).addmm_into(&[], 1, &mut empty);
+        assert_bits(&empty, &[std::iter::empty::<f64>().sum::<f64>(); 3], "empty sum");
     }
 
     #[test]

@@ -59,11 +59,13 @@ impl Adam {
         Adam { lr, beta1: 0.9, beta2: 0.999, eps: 1e-8, clip: Some(5.0), t: 0, state: Vec::new() }
     }
 
-    /// Apply one update and zero the gradients.
+    /// Apply one update and zero the gradients. The update runs over
+    /// zipped slices, one element at a time in the same arithmetic order,
+    /// so the compiler vectorises it without changing a bit.
     ///
     /// # Panics
     /// Panics if the parameter list shape changes between calls.
-    pub fn step(&mut self, mut params: Vec<&mut Tensor>) {
+    pub fn step(&mut self, params: Vec<&mut Tensor>) {
         if self.state.is_empty() {
             self.state = params.iter().map(|p| (vec![0.0; p.len()], vec![0.0; p.len()])).collect();
         }
@@ -72,17 +74,20 @@ impl Adam {
         let bc1 = 1.0 - self.beta1.powi(self.t as i32);
         let bc2 = 1.0 - self.beta2.powi(self.t as i32);
         let scale = clip_scale(&params, self.clip);
-        for (p, (m, v)) in params.iter_mut().zip(&mut self.state) {
+        let (beta1, beta2, lr, eps) = (self.beta1, self.beta2, self.lr, self.eps);
+        for (p, (m, v)) in params.into_iter().zip(&mut self.state) {
             assert_eq!(p.len(), m.len(), "parameter shape changed");
-            for i in 0..p.len() {
-                let g = p.grad.data[i] * scale;
-                m[i] = self.beta1 * m[i] + (1.0 - self.beta1) * g;
-                v[i] = self.beta2 * v[i] + (1.0 - self.beta2) * g * g;
-                let mh = m[i] / bc1;
-                let vh = v[i] / bc2;
-                p.value.data[i] -= self.lr * mh / (vh.sqrt() + self.eps);
+            assert_eq!(p.len(), v.len(), "parameter shape changed");
+            let moments = m.iter_mut().zip(v.iter_mut());
+            for ((w, gr), (m, v)) in p.value.data.iter_mut().zip(&mut p.grad.data).zip(moments) {
+                let g = *gr * scale;
+                *gr = 0.0;
+                *m = beta1 * *m + (1.0 - beta1) * g;
+                *v = beta2 * *v + (1.0 - beta2) * g * g;
+                let mh = *m / bc1;
+                let vh = *v / bc2;
+                *w -= lr * mh / (vh.sqrt() + eps);
             }
-            p.zero_grad();
         }
     }
 

@@ -7,18 +7,28 @@
 //! out of the time loop as one GEMM; time-major batched lanes (row
 //! `t·batch + lane` is timestep `t` of `lane`) with [`LayerState`] resume
 //! and snapshots for the prefix-cached scoring in `fastft-core`; caches and
-//! scratch from a pooled [`NnWorkspace`]; and the backward pass's parameter
+//! scratch from a pooled [`NnWorkspace`]; the backward pass's parameter
 //! gradients as whole-sequence GEMMs (`dWx += Xᵀ dZ`,
-//! `dWh += H[..T-1]ᵀ dZh[1..]`, `db += Σ_t dz_t`, `dX = dZ Wxᵀ`).
+//! `dWh += H[..T-1]ᵀ dZh[1..]`, `db += Σ_t dz_t`, `dX = dZ Wxᵀ`); and the
+//! per-step recurrent gradient `dh_{t-1} += dZh_t Whᵀ`.
 //! [`Recurrent`] stacks layers. A cell ([`crate::lstm::LstmCell`],
 //! [`crate::gru::GruCell`], [`crate::rnn::RnnCell`]) supplies its gate
 //! count, initialisation and per-timestep gate math, including its own
 //! recurrent GEMM `h_prev Wh`: the LSTM and RNN accumulate it into `Z`, the
 //! GRU builds it apart, and the two summation orders round differently.
+//!
+//! Every product here runs the blocked accumulate kernel of
+//! [`crate::matrix`], so each element adds its terms in ascending
+//! reduction index from its starting value. The products against
+//! transposed weights (`dZh_t Whᵀ`, `dZ Wxᵀ`) run it over weights
+//! transposed once per backward call, from accumulators seeded with `-0.0`:
+//! that is where `Iterator::sum` starts, so their bits are those of the dot
+//! products `Σ_j W[k][j]·dz[j]` over weight rows, down to the sign of an
+//! all-zero sum.
 
 use std::marker::PhantomData;
 
-use crate::matrix::{Matrix, Tensor};
+use crate::matrix::{accumulate, Matrix, Tensor};
 use crate::workspace::{LayerState, NnWorkspace};
 use fastft_tabular::rngx::StdRng;
 
@@ -57,12 +67,14 @@ mod cell {
         /// `SEPARATE_ZH` (else empty).
         fn forward_step(wh: &Matrix, z: &mut [f64], zh: &mut [f64], h: &mut [f64], c: &mut [f64]);
 
-        /// Back-propagate timestep `t`: `dh` holds the total gradient of
-        /// `h_t` and is left holding that of `h_{t-1}`; `dc` likewise for
-        /// `c` if `HAS_C` (else empty). Writes row `t` of `dZ` into `dz`
-        /// and, if `SEPARATE_ZH`, of `dZh` into `dzh` (else empty).
+        /// Back-propagate timestep `t` up to the recurrent product: `dh`
+        /// holds the total gradient of `h_t` and is left holding the part of
+        /// `h_{t-1}`'s gradient that bypasses `Wh` (`-0.0`, the additive
+        /// identity, if none); the layer then adds `dZh_t Whᵀ`. `dc` goes
+        /// from `c_t` to `c_{t-1}` if `HAS_C` (else empty). Writes row `t`
+        /// of `dZ` into `dz` and, if `SEPARATE_ZH`, of `dZh` into `dzh`
+        /// (else empty, and `dZh` is `dZ`).
         fn backward_step(
-            wh: &Matrix,
             cache: &Cache,
             t: usize,
             dh: &mut [f64],
@@ -85,12 +97,6 @@ mod cell {
         /// `T × hidden` hidden states.
         pub hiddens: Matrix,
     }
-}
-
-/// `Σ_k a_k b_k` in ascending `k`: the summation order every recurrent
-/// backward dot product shares.
-pub(crate) fn dot(a: &[f64], b: &[f64]) -> f64 {
-    a.iter().zip(b).map(|(a, b)| a * b).sum()
 }
 
 /// One fused recurrent layer over cell `C`.
@@ -229,56 +235,61 @@ impl<C: Cell> RecurrentLayer<C> {
     }
 
     /// [`RecurrentLayer::backward`] drawing scratch from a shared workspace.
-    /// The per-step loop only fills `dz_t` rows and propagates the state
-    /// gradients; the parameter gradients are whole-sequence GEMMs
-    /// afterwards.
+    /// The per-step loop fills `dz_t` rows and propagates the state
+    /// gradients; the parameter gradients and `dX` are whole-sequence
+    /// products afterwards. The products against transposed weights
+    /// (`dh_{t-1} += dZh_t Whᵀ`, `dX = dZ Wxᵀ`) run the matrix kernel over
+    /// weights transposed once per call, seeded with `-0.0` (see the module
+    /// docs).
     pub fn backward_ws(&mut self, d_out: &Matrix, ws: &mut NnWorkspace) -> Matrix {
         let cache = self.cache.take().expect("forward before backward");
         let t_len = cache.x.rows;
         assert_eq!(d_out.rows, t_len);
         let h = self.hidden();
         let g = C::GATES * h;
+        let wh_t = ws.take_transpose(&self.wh.value);
         let mut dz_all = ws.take_matrix(t_len, g);
         let mut dzh_all = ws.take_matrix(if C::SEPARATE_ZH { t_len } else { 0 }, g);
-        let mut dh_next = ws.take(h);
+        // h_t's gradient and the product dZh_t Whᵀ share one buffer, and
+        // the loop's buffers go back before `Wxᵀ` and `dX` are taken: the
+        // pool keeps every buffer it ever handed out, so fewer in flight
+        // means a smaller pool.
+        let mut dh_buf = ws.take(2 * h);
         let mut dc_next = ws.take(if C::HAS_C { h } else { 0 });
         for t in (0..t_len).rev() {
+            let (dh, dh_rec) = dh_buf.split_at_mut(h);
             // Total gradient of h_t: from the output, plus from step t + 1.
-            for (d, &o) in dh_next.iter_mut().zip(d_out.row(t)) {
+            for (d, &o) in dh.iter_mut().zip(d_out.row(t)) {
                 *d += o;
             }
             let dzh = if C::SEPARATE_ZH { dzh_all.row_mut(t) } else { &mut [] };
-            let (dh, dc, dz) = (&mut dh_next, &mut dc_next, dz_all.row_mut(t));
-            C::backward_step(&self.wh.value, &cache, t, dh, dc, dz, dzh);
-        }
-        cache.x.add_matmul_tn(&dz_all, &mut self.wx.grad);
-        let dzh_all_ref = if C::SEPARATE_ZH { &dzh_all } else { &dz_all };
-        for t in 1..t_len {
-            let h_row = cache.hiddens.row(t - 1);
-            let dzh = dzh_all_ref.row(t);
-            for (k, &hv) in h_row.iter().enumerate() {
-                let g_row = &mut self.wh.grad.data[k * g..(k + 1) * g];
-                for (gv, &dv) in g_row.iter_mut().zip(dzh) {
-                    *gv += hv * dv;
-                }
+            C::backward_step(&cache, t, dh, &mut dc_next, dz_all.row_mut(t), dzh);
+            let dzh = if C::SEPARATE_ZH { dzh_all.row(t) } else { dz_all.row(t) };
+            dh_rec.fill(-0.0);
+            wh_t.addmm_into(dzh, 1, dh_rec);
+            for (d, &r) in dh.iter_mut().zip(&*dh_rec) {
+                *d += r;
             }
         }
+        ws.give(dh_buf);
+        ws.give(dc_next);
+        ws.give_matrix(wh_t);
+        cache.x.add_matmul_tn(&dz_all, &mut self.wx.grad);
+        // dWh += H[..T-1]ᵀ dZh[1..]: the shifted rows, read transposed.
+        let dzh_all_ref = if C::SEPARATE_ZH { &dzh_all } else { &dz_all };
+        let h_rows = &cache.hiddens.data[..t_len.saturating_sub(1) * h];
+        let dzh_rows = dzh_all_ref.data.get(g..).unwrap_or(&[]);
+        accumulate(h_rows, (1, h), dzh_rows, g, &mut self.wh.grad.data);
         for t in 0..t_len {
             for (gv, &dv) in self.b.grad.data.iter_mut().zip(dz_all.row(t)) {
                 *gv += dv;
             }
         }
-        let in_dim = cache.x.cols;
-        let mut dx = ws.take_matrix(t_len, in_dim);
-        for t in 0..t_len {
-            let dz = dz_all.row(t);
-            for (k, dxv) in dx.row_mut(t).iter_mut().enumerate() {
-                *dxv = dot(self.wx.value.row(k), dz);
-            }
-        }
-        ws.give(dh_next);
-        ws.give(dc_next);
-        for m in [dz_all, dzh_all, cache.x, cache.gates, cache.extra, cache.hiddens] {
+        let wx_t = ws.take_transpose(&self.wx.value);
+        let mut dx = ws.take_matrix(t_len, cache.x.cols);
+        dx.data.fill(-0.0);
+        wx_t.addmm_into(&dz_all.data, t_len, &mut dx.data);
+        for m in [wx_t, dz_all, dzh_all, cache.x, cache.gates, cache.extra, cache.hiddens] {
             ws.give_matrix(m);
         }
         dx

@@ -4,7 +4,7 @@
 
 use crate::init;
 use crate::matrix::{Matrix, Tensor};
-use crate::recurrent::{dot, Cache, Cell, Recurrent, RecurrentLayer};
+use crate::recurrent::{Cache, Cell, Recurrent, RecurrentLayer};
 use fastft_tabular::rngx::StdRng;
 
 /// Tanh RNN step (one gate block: the hidden state itself).
@@ -41,7 +41,6 @@ impl Cell for RnnCell {
     }
 
     fn backward_step(
-        wh: &Matrix,
         cache: &Cache,
         t: usize,
         dh_next: &mut [f64],
@@ -53,9 +52,8 @@ impl Cell for RnnCell {
         for (j, dzv) in dz.iter_mut().enumerate() {
             *dzv = dh_next[j] * (1.0 - h_t[j] * h_t[j]);
         }
-        for (k, dhv) in dh_next.iter_mut().enumerate() {
-            *dhv = dot(wh.row(k), dz);
-        }
+        // h_{t-1} reaches the loss only through Wh.
+        dh_next.fill(-0.0);
     }
 }
 
@@ -102,6 +100,23 @@ mod tests {
         let init: Vec<&[LayerState]> = vec![&states[0]];
         let resumed = r.infer_batch(&last, 1, Some(&init), None, &mut ws);
         assert_eq!(resumed.row(0), full.row(5));
+    }
+
+    #[test]
+    fn zero_gradients_keep_the_signs_of_dot_products() {
+        // `dh_{t-1}` and `dX` are dot products over weight rows, summed from
+        // -0.0 as `Iterator::sum` does. With a -0.0 upstream gradient on a
+        // 1×1 layer, every term is a signed zero: dz_1 = +0, so
+        // dh_0 = -0 + (+0 · -0.5) = -0, dz_0 = -0, and
+        // dX = [-0 + (-0 · -0.5), -0 + (+0 · -0.5)] = [+0, -0]. A +0.0 seed
+        // for either product flips one of them.
+        let mut layer = RnnLayer::new(1, 1, &mut init::rng(1));
+        layer.wx.value.data[0] = -0.5;
+        layer.wh.value.data[0] = -0.5;
+        layer.forward(&Matrix::from_vec(2, 1, vec![0.3, -0.2]));
+        let dx = layer.backward(&Matrix::from_vec(2, 1, vec![-0.0, -0.0]));
+        let bits: Vec<u64> = dx.data.iter().map(|v| v.to_bits()).collect();
+        assert_eq!(bits, [0.0f64.to_bits(), (-0.0f64).to_bits()]);
     }
 
     #[test]

@@ -41,7 +41,9 @@ pub fn capture(params: &[&mut Tensor], opt: &Adam) -> NetState {
 
 /// Restore a snapshot into `params`/`opt`. Fails (without partial writes)
 /// if the snapshot's parameter count or any tensor length disagrees with
-/// the live network.
+/// the live network, or if its Adam moments are neither absent nor one
+/// `(m, v)` pair per parameter with the parameter's length: a moment of
+/// the wrong length would make the next [`Adam::step`] panic.
 pub fn restore(params: Vec<&mut Tensor>, opt: &mut Adam, state: &NetState) -> Result<(), String> {
     if params.len() != state.params.len() {
         return Err(format!(
@@ -59,10 +61,19 @@ pub fn restore(params: Vec<&mut Tensor>, opt: &mut Adam, state: &NetState) -> Re
             ));
         }
     }
-    if !state.opt_m.is_empty()
-        && (state.opt_m.len() != params.len() || state.opt_v.len() != params.len())
-    {
+    let (m, v) = (&state.opt_m, &state.opt_v);
+    if m.len() != v.len() || !(m.is_empty() || m.len() == params.len()) {
         return Err("optimizer moment count disagrees with parameter count".into());
+    }
+    for (i, ((p, m), v)) in params.iter().zip(m).zip(v).enumerate() {
+        if m.len() != p.len() || v.len() != p.len() {
+            return Err(format!(
+                "parameter {i}: moment lens {}/{} != network len {}",
+                m.len(),
+                v.len(),
+                p.len()
+            ));
+        }
     }
     for (p, s) in params.into_iter().zip(&state.params) {
         p.value.data.copy_from_slice(s);
@@ -135,6 +146,29 @@ mod tests {
         let mut opt_b = Adam::new(0.01);
         let snap = capture(&a.parameters(), &opt_a);
         assert!(restore(b.parameters(), &mut opt_b, &snap).is_err());
+    }
+
+    #[test]
+    fn restore_rejects_moment_length_mismatch() {
+        let mut net = Mlp::new(&[2, 3, 1], 1);
+        let mut opt = Adam::new(0.01);
+        let y = net.forward(&Matrix::row_vector(vec![1.0, 0.0]));
+        net.backward(&Matrix::row_vector(vec![y.data[0]]));
+        opt.step(net.parameters());
+        let snap = capture(&net.parameters(), &opt);
+        let mut long_m = snap.clone();
+        long_m.opt_m[0].push(0.0);
+        let mut short_v = snap.clone();
+        short_v.opt_v[3].pop();
+        let mut v_without_m = snap.clone();
+        v_without_m.opt_m.clear();
+        for bad in [long_m, short_v, v_without_m] {
+            assert!(restore(net.parameters(), &mut opt, &bad).is_err());
+        }
+        // The rejected restores left the optimizer able to step.
+        let y = net.forward(&Matrix::row_vector(vec![1.0, 0.0]));
+        net.backward(&Matrix::row_vector(vec![y.data[0]]));
+        opt.step(net.parameters());
     }
 
     #[test]

@@ -49,6 +49,15 @@ impl NnWorkspace {
         Matrix { rows: src.rows, cols: src.cols, data: v }
     }
 
+    /// Take a pooled transpose of `src` (`src.cols × src.rows`). The
+    /// recurrent backward passes transpose their weights once per call so
+    /// the per-step `dZ Whᵀ` products stream rows instead of columns.
+    pub(crate) fn take_transpose(&mut self, src: &Matrix) -> Matrix {
+        let mut t = self.take_matrix(src.cols, src.rows);
+        src.transpose_into(&mut t.data);
+        t
+    }
+
     /// Return a buffer to the pool for reuse.
     pub fn give(&mut self, v: Vec<f64>) {
         if v.capacity() > 0 {

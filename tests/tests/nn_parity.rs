@@ -225,3 +225,70 @@ fn encoder_outputs_match_golden_bits() {
         .collect();
     assert_eq!(hashes, golden, "got {hashes:#x?}");
 }
+
+/// Golden bits at the paper's shape (embedding 32, hidden 32, 2 layers,
+/// vocab 24) and at an odd shape (embedding 7, hidden 5) whose widths are
+/// not multiples of the matrix kernel's strip, for every recurrent kind.
+/// Each net takes eight `train_step`s on sequences of 40–100 tokens and
+/// one four-item `train_minibatch`; the hash covers every loss, the final
+/// parameters, both Adam moments, `predict`, a three-lane `predict_batch`
+/// and a prefix-resumed `encode_state`. `FASTFT_GOLDEN_CAPTURE=1` prints
+/// the live bits instead of asserting.
+#[test]
+fn training_at_paper_shape_matches_golden_bits() {
+    const VOCAB: usize = 24;
+    let golden: [(EncoderKind, usize, usize, u64); 6] = [
+        (EncoderKind::Lstm { layers: 2 }, 32, 32, 0x2584_a35c_a5ad_b593),
+        (EncoderKind::Gru { layers: 2 }, 32, 32, 0x411a_c0d0_43c7_1026),
+        (EncoderKind::Rnn { layers: 2 }, 32, 32, 0x09e8_c63d_eab1_f34d),
+        (EncoderKind::Lstm { layers: 2 }, 7, 5, 0xf2fe_47fb_a140_f733),
+        (EncoderKind::Gru { layers: 2 }, 7, 5, 0x0e4d_fe34_c6d2_fb42),
+        (EncoderKind::Rnn { layers: 2 }, 7, 5, 0x1c5e_02cb_82d2_b0fc),
+    ];
+    // A fixed LCG token stream, so the sequences do not depend on any RNG
+    // the crates under test might change.
+    let mut state = 0x9e37_79b9_7f4a_7c15u64;
+    let mut tokens = |len: usize| -> Vec<usize> {
+        (0..len)
+            .map(|_| {
+                state = state.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
+                (state >> 33) as usize % VOCAB
+            })
+            .collect()
+    };
+    let train: Vec<Vec<usize>> = [40, 47, 55, 63, 71, 80, 90, 100].map(&mut tokens).to_vec();
+    let lanes: Vec<Vec<usize>> = (0..3).map(|_| tokens(45)).collect();
+    let capture = std::env::var("FASTFT_GOLDEN_CAPTURE").is_ok();
+    let rt = Runtime::new(1);
+    for (kind, emb, hidden, bits) in golden {
+        let mut net = SequenceRegressor::new(VOCAB, emb, hidden, kind, &[16, 1], 1e-2, 43);
+        let mut hash = 0xcbf2_9ce4_8422_2325u64;
+        for (i, seq) in train.iter().enumerate() {
+            fnv_f64s(&mut hash, &[net.train_step(seq, &[0.1 * i as f64 - 0.3])]);
+        }
+        let batch: Vec<(&[usize], &[f64])> =
+            train[..4].iter().map(|s| (s.as_slice(), &[0.25][..])).collect();
+        fnv_f64s(&mut hash, &[net.train_minibatch(&batch, &rt)]);
+        let snap = net.save_state();
+        for values in snap.params.iter().chain(&snap.opt_m).chain(&snap.opt_v) {
+            fnv_f64s(&mut hash, values);
+        }
+        for seq in &train {
+            fnv_f64s(&mut hash, &net.predict(seq));
+        }
+        let refs: Vec<&[usize]> = lanes.iter().map(Vec::as_slice).collect();
+        for row in net.predict_batch(&refs) {
+            fnv_f64s(&mut hash, &row);
+        }
+        let prefix = net.encode_state(None, &train[7][..60]);
+        let resumed = net.encode_state(Some(&prefix), &train[7][60..]);
+        let mut out = [0.0];
+        net.predict_state_into(&resumed, &mut out);
+        fnv_f64s(&mut hash, &out);
+        if capture {
+            println!("{kind:?} emb {emb} hidden {hidden}: {hash:#018x}");
+        } else {
+            assert_eq!(hash, bits, "{kind:?} emb {emb} hidden {hidden}: got {hash:#018x}");
+        }
+    }
+}
