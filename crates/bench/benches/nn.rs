@@ -22,7 +22,6 @@ use fastft_nn::embedding::Embedding;
 use fastft_nn::lstm::Lstm;
 use fastft_nn::matrix::Matrix;
 use fastft_nn::{activation::Activation, init, reference, EncoderKind, SequenceRegressor};
-use fastft_runtime::Runtime;
 use std::cell::Cell;
 use std::time::Instant;
 
@@ -102,7 +101,6 @@ struct Record {
     ref_extend_us: f64,
     cached_extend_us: f64,
     train_step_us: f64,
-    minibatch_item_us: f64,
 }
 
 fn bench_case(seq_len: usize, reps: usize, out: &mut Vec<Record>) {
@@ -163,24 +161,14 @@ fn bench_case(seq_len: usize, reps: usize, out: &mut Vec<Record>) {
         ref_extend / cached_extend
     );
 
-    // Training: per-sample steps and an 8-item minibatch (single worker).
+    // Training: one Adam step per sample.
     let mut trainee = fused_predictor(9);
     let train_step = per_seq(time_us(reps, || {
         for s in &seqs {
             std::hint::black_box(trainee.train_step(s, &[0.5]));
         }
     }));
-    let mut trainee = fused_predictor(9);
-    let rt = Runtime::new(1);
-    let targets = vec![[0.5]; NSEQ];
-    let items: Vec<(&[usize], &[f64])> =
-        refs.iter().zip(targets.iter()).map(|(&s, t)| (s, t.as_slice())).collect();
-    let minibatch_item = per_seq(time_us(reps, || {
-        for chunk in items.chunks(8) {
-            std::hint::black_box(trainee.train_minibatch(chunk, &rt));
-        }
-    }));
-    println!("  train     step {train_step:>8.1} us | minibatch item {minibatch_item:>8.1} us");
+    println!("  train     step {train_step:>8.1} us");
 
     out.push(Record {
         seq_len,
@@ -190,7 +178,6 @@ fn bench_case(seq_len: usize, reps: usize, out: &mut Vec<Record>) {
         ref_extend_us: ref_extend,
         cached_extend_us: cached_extend,
         train_step_us: train_step,
-        minibatch_item_us: minibatch_item,
     });
 }
 
@@ -205,7 +192,7 @@ fn write_json(records: &[Record], quick: bool) {
             "    {{\"seq_len\": {}, \"ref_predict_us\": {:.2}, \"fused_predict_us\": {:.2}, \
              \"batch_predict_us\": {:.2}, \"speedup_predict\": {:.2}, \
              \"ref_extend_us\": {:.2}, \"cached_extend_us\": {:.2}, \"speedup_extend\": {:.2}, \
-             \"train_step_us\": {:.2}, \"minibatch_item_us\": {:.2}}}{}\n",
+             \"train_step_us\": {:.2}}}{}\n",
             r.seq_len,
             r.ref_predict_us,
             r.fused_predict_us,
@@ -215,7 +202,6 @@ fn write_json(records: &[Record], quick: bool) {
             r.cached_extend_us,
             r.ref_extend_us / r.cached_extend_us,
             r.train_step_us,
-            r.minibatch_item_us,
             if i + 1 < records.len() { "," } else { "" }
         ));
     }

@@ -16,7 +16,7 @@
 //! score. The counters accrued before the checkpoint travel in the
 //! telemetry.
 //!
-//! Format: magic `FFTCKPT1`, a `u32` version (currently 4), then the
+//! Format: magic `FFTCKPT1`, a `u32` version (currently 5), then the
 //! configuration and snapshot in the workspace-wide [`Persist`] layout
 //! (little-endian, `f64` as IEEE-754 bits, so floats survive exactly).
 //! Every component encodes itself next to its own definition — this module
@@ -46,8 +46,11 @@ pub const MAGIC: [u8; 8] = *b"FFTCKPT1";
 /// scoring and the snapshot's separate prefix-cache counter baseline;
 /// version 3 dropped the evaluator's split-method field; version 4 dropped
 /// the replay buffer's variant tag (there is one buffer type, and the
-/// sampling policy comes from the configuration).
-pub const VERSION: u32 = 4;
+/// sampling policy comes from the configuration); version 5 dropped twelve
+/// 8-byte configuration fields (the batch size of a deleted training path
+/// and eleven settings that became constants) and stores the
+/// evaluator's optional metric with the generic `Option` codec.
+pub const VERSION: u32 = 5;
 
 /// Everything the engine needs to continue a run from an episode boundary.
 #[derive(Debug, Clone)]
@@ -362,7 +365,7 @@ mod tests {
 
     #[test]
     fn decode_rejects_version_1_files() {
-        for old in [1u32, 2, 3] {
+        for old in [1u32, 2, 3, 4] {
             let mut bytes = encode(&FastFtConfig::quick(), &sample_snapshot());
             bytes[MAGIC.len()..MAGIC.len() + 4].copy_from_slice(&old.to_le_bytes());
             match decode(&bytes) {

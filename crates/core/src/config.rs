@@ -15,6 +15,18 @@ use fastft_tabular::{FastFtError, FastFtResult};
 /// Novelty Estimator in a search (paper §V: 32).
 pub const COMPONENT_DIM: usize = 32;
 
+/// Feature-count cap as a multiple of the original width.
+const MAX_FEATURES_FACTOR: f64 = 2.0;
+/// Absolute feature-count cap.
+const MAX_FEATURES_CAP: usize = 48;
+
+/// Feature cap of a search over a dataset with `n_original` columns.
+pub fn max_features(n_original: usize) -> usize {
+    (((n_original as f64) * MAX_FEATURES_FACTOR) as usize)
+        .max(n_original + 4)
+        .clamp(4, MAX_FEATURES_CAP)
+}
+
 /// Full configuration of a FASTFT run.
 #[derive(Debug, Clone)]
 pub struct FastFtConfig {
@@ -43,26 +55,6 @@ pub struct FastFtConfig {
     pub decay_m: f64,
     /// Prioritized-replay memory size S (paper: 16).
     pub memory_size: usize,
-    /// Discount factor γ.
-    pub gamma: f64,
-    /// Learning rate for the evaluation components (predictor/estimator).
-    pub lr: f64,
-    /// Learning rate for the cascading agents' actor/critic/Q networks.
-    pub agent_lr: f64,
-    /// Hidden width of the agent networks.
-    pub agent_hidden: usize,
-    /// Feature-count cap as a multiple of the original width.
-    pub max_features_factor: f64,
-    /// Absolute feature-count cap.
-    pub max_features_cap: usize,
-    /// Cap on features generated by one crossing step.
-    pub max_new_per_step: usize,
-    /// Token-sequence truncation length for the predictor input.
-    pub max_seq_len: usize,
-    /// Eq. 2 clustering stop threshold.
-    pub cluster_threshold: f64,
-    /// MI histogram bins.
-    pub mi_bins: usize,
     /// Downstream evaluator (model, metric, folds).
     pub evaluator: Evaluator,
     /// Capacity of the downstream-evaluation memo cache (canonical
@@ -75,11 +67,6 @@ pub struct FastFtConfig {
     /// scoring: recurrent encoder states are memoised per token prefix so a
     /// suffix-extended sequence only runs the new tokens (`0` disables).
     pub prefix_cache_capacity: usize,
-    /// Minibatch size for predictor/estimator fine-tuning (`0` = one Adam
-    /// step per sample, the paper's original schedule). Nonzero values take
-    /// averaged-gradient steps over chunks of this size, parallelised over
-    /// the worker pool with results independent of the worker count.
-    pub minibatch: usize,
     /// Master seed.
     pub seed: u64,
     /// Ablation: disable the Performance Predictor (FASTFT⁻ᴾᴾ — every step
@@ -113,10 +100,6 @@ pub struct FastFtConfig {
     /// unlimited). On exhaustion the run stops cleanly with
     /// `StopReason::EvalBudget`.
     pub max_downstream_evals: usize,
-    /// Immediate retries granted to a candidate whose downstream
-    /// evaluation faulted (panicked or returned a non-finite score) before
-    /// it is quarantined and scored by the predictor-only fallback.
-    pub eval_retries: usize,
 }
 
 impl Default for FastFtConfig {
@@ -133,20 +116,9 @@ impl Default for FastFtConfig {
             eps_end: 0.005,
             decay_m: 1000.0,
             memory_size: 16,
-            gamma: 0.99,
-            lr: 1e-3,
-            agent_lr: 5e-3,
-            agent_hidden: 64,
-            max_features_factor: 2.0,
-            max_features_cap: 48,
-            max_new_per_step: 16,
-            max_seq_len: 192,
-            cluster_threshold: 1.0,
-            mi_bins: 12,
             evaluator: Evaluator::default(),
             eval_cache_capacity: 1024,
             prefix_cache_capacity: 256,
-            minibatch: 0,
             seed: 0,
             use_predictor: true,
             use_novelty: true,
@@ -158,7 +130,6 @@ impl Default for FastFtConfig {
             checkpoint_path: None,
             max_wall_secs: 0.0,
             max_downstream_evals: 0,
-            eval_retries: 1,
         }
     }
 }
@@ -175,14 +146,6 @@ impl FastFtConfig {
             retrain_epochs: 16,
             ..FastFtConfig::default()
         }
-    }
-
-    /// Feature cap for a dataset with `n_original` columns.
-    pub fn max_features(&self, n_original: usize) -> usize {
-        (((n_original as f64) * self.max_features_factor) as usize)
-            .max(n_original + 4)
-            .min(self.max_features_cap)
-            .max(4)
     }
 
     /// The FASTFT⁻ᴾᴾ ablation of this configuration.
@@ -240,24 +203,6 @@ impl FastFtConfig {
         if self.memory_size == 0 {
             return err("memory_size must be >= 1 (zero-sized replay buffer)".into());
         }
-        if !(0.0..=1.0).contains(&self.gamma) {
-            return err(format!("gamma must be in [0, 1], got {}", self.gamma));
-        }
-        if self.lr.is_nan() || self.lr <= 0.0 || self.agent_lr.is_nan() || self.agent_lr <= 0.0 {
-            return err(format!(
-                "learning rates must be > 0, got lr {} / agent_lr {}",
-                self.lr, self.agent_lr
-            ));
-        }
-        if self.max_new_per_step == 0 {
-            return err("max_new_per_step must be >= 1".into());
-        }
-        if self.max_seq_len < 4 {
-            return err(format!("max_seq_len must be >= 4, got {}", self.max_seq_len));
-        }
-        if self.mi_bins < 2 {
-            return err(format!("mi_bins must be >= 2, got {}", self.mi_bins));
-        }
         if self.evaluator.folds < 2 {
             return err(format!("evaluator.folds must be >= 2, got {}", self.evaluator.folds));
         }
@@ -280,11 +225,9 @@ impl FastFtConfig {
 fastft_tabular::persist_struct! {
     FastFtConfig {
         episodes, steps_per_episode, cold_start_episodes, retrain_every, retrain_epochs, alpha,
-        beta, eps_start, eps_end, decay_m, memory_size, gamma, lr, agent_lr, agent_hidden,
-        max_features_factor, max_features_cap, max_new_per_step, max_seq_len, cluster_threshold,
-        mi_bins, evaluator, eval_cache_capacity, prefix_cache_capacity, minibatch, seed,
-        use_predictor, use_novelty, prioritized_replay, encoder, rl, threads, checkpoint_every,
-        checkpoint_path, max_wall_secs, max_downstream_evals, eval_retries,
+        beta, eps_start, eps_end, decay_m, memory_size, evaluator, eval_cache_capacity,
+        prefix_cache_capacity, seed, use_predictor, use_novelty, prioritized_replay, encoder, rl,
+        threads, checkpoint_every, checkpoint_path, max_wall_secs, max_downstream_evals,
     }
 }
 
@@ -309,10 +252,9 @@ mod tests {
 
     #[test]
     fn max_features_bounds() {
-        let c = FastFtConfig::default();
-        assert_eq!(c.max_features(10), 20);
-        assert_eq!(c.max_features(40), 48); // capped
-        assert!(c.max_features(2) >= 6);
+        assert_eq!(max_features(10), 20);
+        assert_eq!(max_features(40), 48); // capped
+        assert!(max_features(2) >= 6);
     }
 
     /// `validate` on `FastFtConfig { ..default }` with the given fields.
@@ -332,8 +274,7 @@ mod tests {
         assert!(!valid!(eps_start: 0.01, eps_end: 0.5));
         assert!(!valid!(memory_size: 0));
         assert!(!valid!(episodes: 0));
-        assert!(!valid!(gamma: 1.5));
-        assert!(!valid!(mi_bins: 1));
+        assert!(!valid!(decay_m: 0.0));
         assert!(valid!(encoder: EncoderKind::Gru { layers: 1 }));
         assert!(valid!(encoder: EncoderKind::Transformer { heads: 4, blocks: 1 }));
         assert!(!valid!(encoder: EncoderKind::Lstm { layers: 0 }));
@@ -360,9 +301,8 @@ mod tests {
     fn scoring_knobs() {
         let c = FastFtConfig::default();
         assert_eq!(c.prefix_cache_capacity, 256);
-        assert_eq!(c.minibatch, 0);
         // `prefix_cache_capacity = 0` is the off switch for cached scoring.
-        assert!(valid!(prefix_cache_capacity: 0, minibatch: 8));
+        assert!(valid!(prefix_cache_capacity: 0));
     }
 
     #[test]
@@ -372,13 +312,11 @@ mod tests {
         assert!(c.checkpoint_path.is_none());
         assert_eq!(c.max_wall_secs, 0.0);
         assert_eq!(c.max_downstream_evals, 0);
-        assert_eq!(c.eval_retries, 1);
         assert!(valid!(
             checkpoint_every: 5,
             checkpoint_path: Some("run.ckpt".into()),
             max_wall_secs: 30.0,
             max_downstream_evals: 100,
-            eval_retries: 2,
         ));
         // Cadence without a destination is a configuration error.
         assert!(!valid!(checkpoint_every: 5));

@@ -11,7 +11,6 @@
 use crate::predictor::PredictorConfig;
 use crate::scoring::{PrefixCache, ScoreStats};
 use fastft_nn::SequenceRegressor;
-use fastft_runtime::Runtime;
 
 /// RND novelty estimator: trained estimator + frozen orthogonal target.
 #[derive(Debug, Clone)]
@@ -78,25 +77,6 @@ impl NoveltyEstimator {
         let mut t = [0.0];
         self.tgt_cache.score_into(&self.target, seq, &mut t);
         let loss = self.estimator.train_step(seq, &t);
-        self.est_cache.invalidate();
-        loss
-    }
-
-    /// One averaged-gradient distillation step over a minibatch of seen
-    /// sequences; returns the mean pre-update squared error. Deterministic
-    /// for any worker count.
-    pub fn train_minibatch(&mut self, seqs: &[&[usize]], runtime: &Runtime) -> f64 {
-        let targets: Vec<[f64; 1]> = seqs
-            .iter()
-            .map(|s| {
-                let mut t = [0.0];
-                self.tgt_cache.score_into(&self.target, s, &mut t);
-                t
-            })
-            .collect();
-        let batch: Vec<(&[usize], &[f64])> =
-            seqs.iter().zip(targets.iter()).map(|(&s, t)| (s, t.as_slice())).collect();
-        let loss = self.estimator.train_minibatch(&batch, runtime);
         self.est_cache.invalidate();
         loss
     }

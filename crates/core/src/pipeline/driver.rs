@@ -16,7 +16,7 @@ use crate::pipeline::event::{NullObserver, RunEvent, RunObserver};
 use crate::pipeline::search_state::SearchState;
 use crate::pipeline::stages::{
     AdaptiveRewardModel, CandidateSource, CascadeSource, Learner, ReplayLearner, RewardModel,
-    ScoreInput, StageCx,
+    ScoreInput, StageCx, MAX_SEQ_LEN,
 };
 use crate::pipeline::{RunResult, StepRecord, StopReason};
 use crate::sequence::{canonical_key, encode_feature_set};
@@ -141,7 +141,7 @@ impl<'a, S: CandidateSource, R: RewardModel, L: Learner> Driver<'a, S, R, L> {
             cx.emit(RunEvent::EpisodeStarted { episode, cold });
             let mut fs = FeatureSet::from_original(original);
             let mut prev_v = cx.state.base_score;
-            let mut prev_seq = encode_feature_set(&fs.exprs, &cx.state.vocab, cfg.max_seq_len);
+            let mut prev_seq = encode_feature_set(&fs.exprs, &cx.state.vocab, MAX_SEQ_LEN);
             let mut prev_state = state::rep_overall(&fs.data);
             // Pending memory from the previous step, waiting for its
             // next-step head candidates before insertion.

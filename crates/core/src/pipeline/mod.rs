@@ -122,9 +122,8 @@ pub struct Telemetry {
     /// Downstream evaluations that faulted — panicked, returned a typed
     /// evaluation error, or produced a non-finite score — counting retries.
     pub eval_faults: usize,
-    /// Candidates quarantined after exhausting
-    /// [`FastFtConfig::eval_retries`](crate::FastFtConfig::eval_retries)
-    /// attempts.
+    /// Candidates quarantined after exhausting the retries a faulting
+    /// evaluation is granted.
     pub quarantined: usize,
     /// Component-training rounds rolled back because they panicked or left
     /// non-finite weights (one count per rolled-back component).

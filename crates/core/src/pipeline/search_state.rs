@@ -31,6 +31,11 @@ use fastft_tabular::{Column, Dataset, FastFtError, FastFtResult};
 /// while bounding memory if a dataset makes *every* candidate fault.
 pub(crate) const QUARANTINE_CAPACITY: usize = 256;
 
+/// Hidden width of the cascading agents' actor/critic/Q networks.
+const AGENT_HIDDEN: usize = 64;
+/// Learning rate of the cascading agents' networks.
+const AGENT_LR: f64 = 5e-3;
+
 /// Everything one run mutates, in one place.
 ///
 /// Stages receive it through [`StageCx`](crate::pipeline::StageCx) and
@@ -103,14 +108,12 @@ impl SearchState {
         let pc = PredictorConfig {
             dim: COMPONENT_DIM,
             encoder: cfg.encoder,
-            lr: cfg.lr,
             prefix_cache: cfg.prefix_cache_capacity,
+            ..PredictorConfig::default()
         };
-        let mut agents = CascadingAgents::new(cfg.rl, cfg.agent_hidden, cfg.agent_lr, cfg.seed);
-        agents.gamma = cfg.gamma;
         SearchState {
             vocab,
-            agents,
+            agents: CascadingAgents::new(cfg.rl, AGENT_HIDDEN, AGENT_LR, cfg.seed),
             predictor: PerformancePredictor::new(vocab.size(), pc, cfg.seed.wrapping_add(11)),
             novelty: NoveltyEstimator::new(vocab.size(), pc, cfg.seed.wrapping_add(23)),
             memory: PrioritizedReplay::new(cfg.memory_size),

@@ -22,7 +22,7 @@
 
 use crate::agents::{MemoryUnit, Role};
 use crate::cluster::{cluster_features, MiCache};
-use crate::config::FastFtConfig;
+use crate::config::{max_features, FastFtConfig};
 use crate::ops::Op;
 use crate::pipeline::event::{RunEvent, RunObserver};
 use crate::pipeline::search_state::SearchState;
@@ -252,6 +252,15 @@ pub trait Learner {
     fn finetune(&mut self, cx: &mut StageCx<'_>);
 }
 
+/// Histogram bins of the mutual-information estimates.
+const MI_BINS: usize = 12;
+/// Eq. 2 clustering stop threshold.
+const CLUSTER_THRESHOLD: f64 = 1.0;
+/// Cap on the features one crossing step generates.
+const MAX_NEW_PER_STEP: usize = 16;
+/// Token-sequence truncation length of the component input.
+pub(crate) const MAX_SEQ_LEN: usize = 192;
+
 /// §III-B/C candidate source: MI clustering + cascading agent cascade +
 /// group-wise crossing.
 #[derive(Debug, Default, Clone, Copy)]
@@ -260,8 +269,8 @@ pub struct CascadeSource;
 impl CandidateSource for CascadeSource {
     fn survey(&mut self, cx: &mut StageCx<'_>, fs: &FeatureSet, prev_state: &[f64]) -> Survey {
         let t_opt = Instant::now();
-        let cache = MiCache::compute_with(cx.runtime, &fs.data, cx.cfg.mi_bins);
-        let clusters = cluster_features(&fs.data, &cache, cx.cfg.cluster_threshold, 2);
+        let cache = MiCache::compute_with(cx.runtime, &fs.data, MI_BINS);
+        let clusters = cluster_features(&fs.data, &cache, CLUSTER_THRESHOLD, 2);
         let overall = prev_state.to_vec();
         let cluster_reps: Vec<Vec<f64>> =
             clusters.iter().map(|c| state::rep_cluster(&fs.data, c)).collect();
@@ -307,20 +316,24 @@ impl CandidateSource for CascadeSource {
             &survey.clusters[sel.head_idx],
             sel.op,
             tail_members,
-            cx.cfg.max_new_per_step,
+            MAX_NEW_PER_STEP,
             &mut cx.state.rng,
         );
         let new_exprs: Vec<String> = generated.iter().map(|(e, _)| e.to_string()).collect();
         let produced = !generated.is_empty();
         fs.extend(generated);
-        fs.select_top(cx.cfg.max_features(cx.original.n_features()), cx.cfg.mi_bins);
+        fs.select_top(max_features(cx.original.n_features()), MI_BINS);
 
-        let seq = encode_feature_set(&fs.exprs, &cx.state.vocab, cx.cfg.max_seq_len);
+        let seq = encode_feature_set(&fs.exprs, &cx.state.vocab, MAX_SEQ_LEN);
         let next_state = state::rep_overall(&fs.data);
         let key = canonical_key(&fs.exprs);
         Crossing { new_exprs, produced, seq, next_state, key }
     }
 }
+
+/// Immediate retries granted to a candidate whose downstream evaluation
+/// faulted, before it is quarantined.
+const EVAL_RETRIES: usize = 1;
 
 /// The paper's adaptive reward model: Eq. 5 cold / Eq. 6 warm scoring, the
 /// normalised RND novelty bonus, §III-D percentile triggers, and the
@@ -333,9 +346,9 @@ impl AdaptiveRewardModel {
     ///
     /// Panics inside the evaluator, typed evaluation errors and non-finite
     /// scores all count as faults (`eval_faults`): the evaluation retries
-    /// up to [`FastFtConfig::eval_retries`] more times and then the
-    /// candidate is quarantined (`None`), leaving the step loop to fall
-    /// back on the predictor. Quarantine shares the memo cache's canonical
+    /// up to [`EVAL_RETRIES`] more times and then the candidate is
+    /// quarantined (`None`), leaving the step loop to fall back on the
+    /// predictor. Quarantine shares the memo cache's canonical
     /// key, so a quarantined feature combination is never re-attempted
     /// while it remains in the bounded set. The *base* evaluation does not
     /// go through here — a dataset whose original features cannot be
@@ -344,7 +357,7 @@ impl AdaptiveRewardModel {
         if cx.state.quarantine.get(key).is_some() {
             return None;
         }
-        let attempts = cx.cfg.eval_retries + 1;
+        let attempts = EVAL_RETRIES + 1;
         // A panic, typed evaluation error or non-finite score is a fault.
         let score = cx.memoised(Some(key), attempts, |ev, rt| {
             let outcome = catch_unwind(AssertUnwindSafe(|| ev.evaluate_with(rt, data)));
@@ -495,30 +508,15 @@ impl RewardModel for AdaptiveRewardModel {
 pub struct ReplayLearner;
 
 impl ReplayLearner {
-    /// Train the components on `items` in order: one Adam step per sample
-    /// when `cfg.minibatch == 0` (the paper's schedule), averaged-gradient
-    /// steps over `cfg.minibatch`-sized chunks otherwise.
+    /// Train the components on `items` in order, one Adam step per sample
+    /// (Alg. 1/2).
     fn train_components_on(cx: &mut StageCx<'_>, items: &[(Vec<usize>, f64)], train_novelty: bool) {
-        if cx.cfg.minibatch > 0 {
-            for chunk in items.chunks(cx.cfg.minibatch) {
-                let batch: Vec<(&[usize], f64)> =
-                    chunk.iter().map(|(s, v)| (s.as_slice(), *v)).collect();
-                if cx.cfg.use_predictor {
-                    cx.state.predictor.train_minibatch(&batch, cx.runtime);
-                }
-                if train_novelty && cx.cfg.use_novelty {
-                    let seqs: Vec<&[usize]> = batch.iter().map(|&(s, _)| s).collect();
-                    cx.state.novelty.train_minibatch(&seqs, cx.runtime);
-                }
+        for (seq, v) in items {
+            if cx.cfg.use_predictor {
+                cx.state.predictor.train_step(seq, *v);
             }
-        } else {
-            for (seq, v) in items {
-                if cx.cfg.use_predictor {
-                    cx.state.predictor.train_step(seq, *v);
-                }
-                if train_novelty && cx.cfg.use_novelty {
-                    cx.state.novelty.train_step(seq);
-                }
+            if train_novelty && cx.cfg.use_novelty {
+                cx.state.novelty.train_step(seq);
             }
         }
     }
@@ -588,9 +586,8 @@ impl Learner for ReplayLearner {
     }
 
     fn finetune(&mut self, cx: &mut StageCx<'_>) {
-        // Draw every uniform sample before training: sampling consumes the
-        // run RNG identically whether the steps below are per-sample or
-        // minibatched, so `cfg.minibatch` never shifts the decision stream.
+        // Draw every uniform sample before training; training draws nothing
+        // from the run RNG.
         let mut sampled = Vec::with_capacity(cx.cfg.retrain_epochs);
         for _ in 0..cx.cfg.retrain_epochs {
             let st = &mut *cx.state;

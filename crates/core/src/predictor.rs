@@ -8,7 +8,6 @@
 
 use crate::scoring::{PrefixCache, ScoreStats};
 use fastft_nn::{EncoderKind, SequenceRegressor};
-use fastft_runtime::Runtime;
 
 /// Architecture hyperparameters for the predictor (and estimator encoder).
 #[derive(Debug, Clone, Copy)]
@@ -79,18 +78,6 @@ impl PerformancePredictor {
     pub fn train_step(&mut self, seq: &[usize], performance: f64) -> f64 {
         let loss = self.net.train_step(seq, &[performance]);
         // Weights moved: every cached encoder state is stale.
-        self.cache.invalidate();
-        loss
-    }
-
-    /// One averaged-gradient Adam step over a minibatch of
-    /// (sequence, performance) pairs; returns the mean pre-update loss.
-    /// Deterministic for any worker count.
-    pub fn train_minibatch(&mut self, items: &[(&[usize], f64)], runtime: &Runtime) -> f64 {
-        let targets: Vec<[f64; 1]> = items.iter().map(|&(_, p)| [p]).collect();
-        let batch: Vec<(&[usize], &[f64])> =
-            items.iter().zip(targets.iter()).map(|(&(s, _), t)| (s, t.as_slice())).collect();
-        let loss = self.net.train_minibatch(&batch, runtime);
         self.cache.invalidate();
         loss
     }

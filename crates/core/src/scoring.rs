@@ -130,7 +130,7 @@ impl PrefixCache {
     /// With the cache enabled each sequence goes through [`score_into`]
     /// (the engine's sequences are suffix extensions of each other, so
     /// prefix reuse beats lane-packing); with it disabled the sequences are
-    /// packed into length-bucketed minibatches via
+    /// packed into length-bucketed lanes via
     /// `SequenceRegressor::predict_batch`.
     ///
     /// [`score_into`]: PrefixCache::score_into

@@ -92,32 +92,15 @@ impl Default for Evaluator {
     }
 }
 
-impl Persist for ModelKind {
-    fn persist(&self, w: &mut Writer) {
-        w.u8(match self {
-            ModelKind::RandomForest => 0,
-            ModelKind::GradientBoosting => 1,
-            ModelKind::DecisionTree => 2,
-            ModelKind::Logistic => 3,
-            ModelKind::Ridge => 4,
-            ModelKind::LinearSvm => 5,
-            ModelKind::Knn => 6,
-        });
-    }
-
-    fn restore(r: &mut Reader) -> PersistResult<Self> {
-        Ok(match r.u8()? {
-            0 => ModelKind::RandomForest,
-            1 => ModelKind::GradientBoosting,
-            2 => ModelKind::DecisionTree,
-            3 => ModelKind::Logistic,
-            4 => ModelKind::Ridge,
-            5 => ModelKind::LinearSvm,
-            6 => ModelKind::Knn,
-            t => return Err(format!("unknown model tag {t}")),
-        })
-    }
-}
+fastft_tabular::persist_enum!(ModelKind {
+    RandomForest = 0,
+    GradientBoosting = 1,
+    DecisionTree = 2,
+    Logistic = 3,
+    Ridge = 4,
+    LinearSvm = 5,
+    Knn = 6,
+});
 
 impl Persist for Evaluator {
     fn persist(&self, w: &mut Writer) {
@@ -125,12 +108,7 @@ impl Persist for Evaluator {
         // deciding how (or whether) to persist it is a compile error.
         let Evaluator { model, metric, folds, seed, fault_plan: _ } = self;
         model.persist(w);
-        // Optional metric packed into one byte (255 = None), predating the
-        // generic two-byte `Option` encoding.
-        match metric {
-            None => w.u8(255),
-            Some(m) => w.u8(m.persist_tag()),
-        }
+        metric.persist(w);
         folds.persist(w);
         seed.persist(w);
         // `fault_plan` is a test-only hook with process-local state; it is
@@ -140,10 +118,7 @@ impl Persist for Evaluator {
     fn restore(r: &mut Reader) -> PersistResult<Self> {
         Ok(Evaluator {
             model: Persist::restore(r)?,
-            metric: match r.u8()? {
-                255 => None,
-                tag => Some(Metric::from_persist_tag(tag)?),
-            },
+            metric: Persist::restore(r)?,
             folds: Persist::restore(r)?,
             seed: Persist::restore(r)?,
             fault_plan: None,

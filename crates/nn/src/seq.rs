@@ -32,7 +32,6 @@ use crate::matrix::{Matrix, Tensor};
 use crate::optim::Adam;
 use crate::transformer::{add_positional_encoding, TransformerBlock};
 use crate::workspace::{LayerState, NnWorkspace};
-use fastft_runtime::Runtime;
 
 /// The regressor's encoder: any recurrent stack, or Transformer blocks.
 #[derive(Debug, Clone)]
@@ -352,9 +351,9 @@ impl SequenceRegressor {
         self.head_infer_into(&state.layers.last().expect("non-empty state").h, out, ws);
     }
 
-    /// Forward + backward for one example, accumulating parameter gradients
-    /// without applying an optimizer update. Returns the example's MSE loss.
-    pub fn accumulate_gradients(&mut self, tokens: &[usize], target: &[f64]) -> f64 {
+    /// One gradient step minimising MSE against `target`; returns the loss
+    /// **before** the update.
+    pub fn train_step(&mut self, tokens: &[usize], target: &[f64]) -> f64 {
         assert!(!tokens.is_empty(), "empty token sequence");
         assert_eq!(target.len(), self.out_dim(), "target dim mismatch");
         let ws = self.ws.get_mut();
@@ -411,57 +410,9 @@ impl SequenceRegressor {
         ws.give_matrix(dh);
         self.emb.backward(&dx);
         ws.give_matrix(dx);
-        loss
-    }
-
-    /// One gradient step minimising MSE against `target`; returns the loss
-    /// **before** the update.
-    pub fn train_step(&mut self, tokens: &[usize], target: &[f64]) -> f64 {
-        let loss = self.accumulate_gradients(tokens, target);
         let params = collect_params(&mut self.emb, &mut self.enc, &mut self.head);
         self.opt.step(params);
         loss
-    }
-
-    /// One optimizer step over a minibatch: gradient accumulation fans out
-    /// over `runtime` in fixed-size chunks of 8 examples, each chunk running
-    /// on its own clone of the model, and the chunk gradients are reduced in
-    /// chunk order and scaled by `1/n` before a single Adam step. The chunk
-    /// size and reduction order are independent of the worker count, so the
-    /// result is identical for any `Runtime` size. Returns the mean
-    /// pre-update loss.
-    pub fn train_minibatch(&mut self, items: &[(&[usize], &[f64])], runtime: &Runtime) -> f64 {
-        assert!(!items.is_empty(), "empty minibatch");
-        const CHUNK: usize = 8;
-        type Job<'a> = (SequenceRegressor, &'a [(&'a [usize], &'a [f64])]);
-        let jobs: Vec<Job> = items.chunks(CHUNK).map(|c| (self.clone(), c)).collect();
-        let results: Vec<(f64, Vec<Vec<f64>>)> = runtime.par_map(jobs, |(mut model, chunk)| {
-            let mut loss = 0.0;
-            for (tokens, target) in chunk {
-                loss += model.accumulate_gradients(tokens, target);
-            }
-            let grads = collect_params(&mut model.emb, &mut model.enc, &mut model.head)
-                .iter()
-                .map(|p| p.grad.data.clone())
-                .collect();
-            (loss, grads)
-        });
-        let inv = 1.0 / items.len() as f64;
-        let mut params = collect_params(&mut self.emb, &mut self.enc, &mut self.head);
-        for p in params.iter_mut() {
-            p.zero_grad();
-        }
-        let mut total_loss = 0.0;
-        for (loss, grads) in &results {
-            total_loss += loss;
-            for (p, g) in params.iter_mut().zip(grads) {
-                for (pv, gv) in p.grad.data.iter_mut().zip(g) {
-                    *pv += gv * inv;
-                }
-            }
-        }
-        self.opt.step(params);
-        total_loss * inv
     }
 
     /// Total trainable parameter count (Fig. 11 memory accounting).
@@ -617,37 +568,6 @@ mod tests {
             // State-based scoring equals the plain predict path.
             assert_eq!(a.to_vec(), m.predict(&toks), "{}", kind.label());
         }
-    }
-
-    #[test]
-    fn minibatch_matches_across_worker_counts() {
-        let items: Vec<(Vec<usize>, Vec<f64>)> = (0..20)
-            .map(|i| {
-                let toks: Vec<usize> = (0..3 + i % 4).map(|j| (i + j) % 10).collect();
-                let t = target_of(&toks);
-                (toks, vec![t])
-            })
-            .collect();
-        let run = |threads: usize| {
-            let mut m = SequenceRegressor::new(
-                10,
-                8,
-                8,
-                EncoderKind::Lstm { layers: 2 },
-                &[8, 1],
-                0.01,
-                11,
-            );
-            let rt = Runtime::new(threads);
-            let mut losses = Vec::new();
-            for _ in 0..3 {
-                let batch: Vec<(&[usize], &[f64])> =
-                    items.iter().map(|(t, y)| (t.as_slice(), y.as_slice())).collect();
-                losses.push(m.train_minibatch(&batch, &rt));
-            }
-            (losses, m.predict(&[1, 2, 3, 4]))
-        };
-        assert_eq!(run(1), run(4), "minibatch training must not depend on worker count");
     }
 
     #[test]

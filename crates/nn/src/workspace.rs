@@ -28,10 +28,29 @@ impl NnWorkspace {
         if len == 0 {
             return Vec::new();
         }
-        let mut v = self.pool.pop().unwrap_or_default();
+        let mut v = self.pop_fitting(len);
         v.clear();
         v.resize(len, 0.0);
         v
+    }
+
+    /// Remove the pooled buffer that best holds `len` values: the smallest
+    /// whose capacity is at least `len`, else the largest, which the caller
+    /// then grows. Taking whichever buffer is on top would grow every
+    /// buffer towards the largest request it ever served.
+    fn pop_fitting(&mut self, len: usize) -> Vec<f64> {
+        let best = self.pool.iter().enumerate().min_by_key(|(_, v)| {
+            let cap = v.capacity();
+            if cap >= len {
+                (false, cap)
+            } else {
+                (true, usize::MAX - cap)
+            }
+        });
+        match best {
+            Some((i, _)) => self.pool.swap_remove(i),
+            None => Vec::new(),
+        }
     }
 
     /// Take a zeroed `rows × cols` matrix backed by a pooled buffer.
@@ -43,7 +62,7 @@ impl NnWorkspace {
     /// training kernels to snapshot inputs/outputs into their caches without
     /// allocating fresh buffers every step.
     pub fn take_copy(&mut self, src: &Matrix) -> Matrix {
-        let mut v = self.pool.pop().unwrap_or_default();
+        let mut v = self.pop_fitting(src.data.len());
         v.clear();
         v.extend_from_slice(&src.data);
         Matrix { rows: src.rows, cols: src.cols, data: v }
@@ -105,6 +124,34 @@ mod tests {
         assert_eq!(v2.as_ptr(), ptr, "pooled buffer should be reused");
         assert!(v2.iter().all(|&x| x == 0.0), "reused buffer must be re-zeroed");
         assert_eq!(ws.pooled(), 0);
+    }
+
+    /// A small and a large buffer given back in swapped order must not
+    /// both grow to the large size: each take picks the buffer that fits.
+    #[test]
+    fn swapped_gives_keep_pooled_capacity_at_small_plus_large() {
+        const SMALL: usize = 4;
+        const LARGE: usize = 1000;
+        let pooled_capacity = |ws: &NnWorkspace| ws.pool.iter().map(Vec::capacity).sum::<usize>();
+        let mut ws = NnWorkspace::new();
+        let mut bound = None;
+        for cycle in 0..6 {
+            let small = if cycle % 2 == 0 {
+                ws.take(SMALL)
+            } else {
+                ws.take_copy(&Matrix::from_vec(1, SMALL, vec![0.0; SMALL])).data
+            };
+            let large = ws.take(LARGE);
+            assert_eq!((small.len(), large.len()), (SMALL, LARGE));
+            assert!(small.iter().chain(&large).all(|&x| x == 0.0));
+            // Small first, so the large buffer is on top for the next take.
+            ws.give(small);
+            ws.give(large);
+            let total = pooled_capacity(&ws);
+            let bound = *bound.get_or_insert(total);
+            assert!(bound < 2 * LARGE);
+            assert!(total <= bound, "cycle {cycle}: pooled capacity {total} > {bound}");
+        }
     }
 
     #[test]

@@ -14,7 +14,6 @@ use fastft_nn::dense::Dense;
 use fastft_nn::init;
 use fastft_nn::matrix::{Matrix, Tensor};
 use fastft_nn::{snapshot, Adam, NetState};
-use fastft_tabular::persist::{Persist, PersistResult, Reader, Writer};
 use fastft_tabular::rngx::StdRng;
 
 /// Which Q-learning variant an agent runs.
@@ -246,26 +245,12 @@ pub struct QAgentState {
     pub updates: u64,
 }
 
-impl Persist for QKind {
-    fn persist(&self, w: &mut Writer) {
-        w.u8(match self {
-            QKind::Dqn => 0,
-            QKind::DoubleDqn => 1,
-            QKind::DuelingDqn => 2,
-            QKind::DuelingDoubleDqn => 3,
-        });
-    }
-
-    fn restore(r: &mut Reader) -> PersistResult<Self> {
-        Ok(match r.u8()? {
-            0 => QKind::Dqn,
-            1 => QKind::DoubleDqn,
-            2 => QKind::DuelingDqn,
-            3 => QKind::DuelingDoubleDqn,
-            t => return Err(format!("unknown q-kind tag {t}")),
-        })
-    }
-}
+fastft_tabular::persist_enum!(QKind {
+    Dqn = 0,
+    DoubleDqn = 1,
+    DuelingDqn = 2,
+    DuelingDoubleDqn = 3,
+});
 
 fastft_tabular::persist_struct!(QAgentState { online, target, updates });
 

@@ -51,47 +51,18 @@ impl Metric {
             Metric::Auc => "AUC",
         }
     }
-
-    /// Stable checkpoint tag. 255 is reserved for "no metric" by callers
-    /// that persist an optional metric in a single byte.
-    pub fn persist_tag(self) -> u8 {
-        match self {
-            Metric::F1 => 0,
-            Metric::Precision => 1,
-            Metric::Recall => 2,
-            Metric::Accuracy => 3,
-            Metric::OneMinusRae => 4,
-            Metric::OneMinusMae => 5,
-            Metric::OneMinusMse => 6,
-            Metric::Auc => 7,
-        }
-    }
-
-    /// Inverse of [`Metric::persist_tag`].
-    pub fn from_persist_tag(tag: u8) -> Result<Self, String> {
-        Ok(match tag {
-            0 => Metric::F1,
-            1 => Metric::Precision,
-            2 => Metric::Recall,
-            3 => Metric::Accuracy,
-            4 => Metric::OneMinusRae,
-            5 => Metric::OneMinusMae,
-            6 => Metric::OneMinusMse,
-            7 => Metric::Auc,
-            t => return Err(format!("unknown metric tag {t}")),
-        })
-    }
 }
 
-impl crate::persist::Persist for Metric {
-    fn persist(&self, w: &mut crate::persist::Writer) {
-        w.u8(self.persist_tag());
-    }
-
-    fn restore(r: &mut crate::persist::Reader) -> crate::persist::PersistResult<Self> {
-        Metric::from_persist_tag(r.u8()?)
-    }
-}
+crate::persist_enum!(Metric {
+    F1 = 0,
+    Precision = 1,
+    Recall = 2,
+    Accuracy = 3,
+    OneMinusRae = 4,
+    OneMinusMae = 5,
+    OneMinusMse = 6,
+    Auc = 7,
+});
 
 /// Per-class counts backing the macro-averaged classification metrics.
 fn confusion_counts(y_true: &[usize], y_pred: &[usize], n_classes: usize) -> Vec<(f64, f64, f64)> {

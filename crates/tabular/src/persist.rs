@@ -62,6 +62,31 @@ macro_rules! persist_struct {
     };
 }
 
+/// Implement [`Persist`] for a fieldless enum as a one-byte tag per
+/// variant: `persist_enum!(QKind { Dqn = 0, DoubleDqn = 1 });`.
+///
+/// `persist` matches without a wildcard, so a variant missing from the list
+/// is a compile error; `restore` rejects any other tag with a typed error.
+#[macro_export]
+macro_rules! persist_enum {
+    ($ty:ident { $($variant:ident = $tag:literal),+ $(,)? }) => {
+        impl $crate::persist::Persist for $ty {
+            fn persist(&self, w: &mut $crate::persist::Writer) {
+                w.u8(match self { $($ty::$variant => $tag),+ });
+            }
+
+            fn restore(
+                r: &mut $crate::persist::Reader,
+            ) -> $crate::persist::PersistResult<Self> {
+                match r.u8()? {
+                    $($tag => Ok($ty::$variant),)+
+                    t => Err(format!("unknown {} tag {t}", stringify!($ty))),
+                }
+            }
+        }
+    };
+}
+
 /// Growable little-endian byte sink.
 #[derive(Default)]
 pub struct Writer {
@@ -433,6 +458,25 @@ mod tests {
         pair.name.persist(&mut expect);
         pair.weights.persist(&mut expect);
         assert_eq!(w.into_bytes(), expect.into_bytes());
+    }
+
+    #[derive(Debug, PartialEq)]
+    enum Shade {
+        Light,
+        Dark,
+    }
+
+    crate::persist_enum!(Shade { Light = 0, Dark = 3 });
+
+    #[test]
+    fn persist_enum_writes_one_tag_byte_and_rejects_unknown_tags() {
+        round_trip(&Shade::Light);
+        round_trip(&Shade::Dark);
+        let mut w = Writer::new();
+        Shade::Dark.persist(&mut w);
+        assert_eq!(w.into_bytes(), [3]);
+        let err = Shade::restore(&mut Reader::new(&[1])).unwrap_err();
+        assert_eq!(err, "unknown Shade tag 1");
     }
 
     #[test]

@@ -71,7 +71,7 @@ fn struct_update_config_is_runnable() {
 
 #[test]
 fn fit_surfaces_invalid_config_instead_of_panicking() {
-    let cfg = FastFtConfig { gamma: 2.0, ..FastFtConfig::quick() };
+    let cfg = FastFtConfig { alpha: 101.0, ..FastFtConfig::quick() };
     let spec = datagen::by_name("pima_indian").unwrap();
     let mut d = datagen::generate_capped(spec, 100, 0);
     d.sanitize();
@@ -88,10 +88,10 @@ fn fit_rejects_dataset_without_features() {
 
 #[test]
 fn errors_display_with_context() {
-    let err = FastFtConfig { mi_bins: 1, ..FastFtConfig::default() }.validate().unwrap_err();
+    let err = FastFtConfig { memory_size: 0, ..FastFtConfig::default() }.validate().unwrap_err();
     let msg = err.to_string();
     assert!(msg.contains("invalid config"), "{msg}");
-    assert!(msg.contains("mi_bins"), "{msg}");
+    assert!(msg.contains("memory_size"), "{msg}");
 }
 
 /// Encoder shapes the evaluation components cannot be built with: a

@@ -62,7 +62,7 @@ fn nan_score_counts_as_a_fault_not_a_result() {
 
 #[test]
 fn consecutive_faults_exhaust_retries_and_quarantine_the_candidate() {
-    // eval_retries = 1 gives each candidate two attempts; faulting two
+    // One retry gives each candidate two attempts; faulting two
     // consecutive eval indices therefore burns both and forces quarantine.
     // The step falls back on the predictor and the run still completes.
     let plan = FaultPlan::new(vec![FaultKind::OomCandidate(3), FaultKind::PanicOnEval(4)]);

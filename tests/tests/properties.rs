@@ -4,10 +4,6 @@
 //! builds offline with zero external dependencies. Each property draws its
 //! cases from a seeded [`StdRng`], so failures are reproducible: the case
 //! index is part of every assertion message.
-//!
-//! The suite is opt-in (it multiplies test time by its case counts):
-//! `cargo test -p integration-tests --features proptest-tests`.
-#![cfg(feature = "proptest-tests")]
 
 use fastft_core::sequence::{canonical_key, encode_feature_set, Token, TokenVocab};
 use fastft_core::{Expr, Op};
