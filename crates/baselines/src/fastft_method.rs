@@ -2,7 +2,7 @@
 //! every method — including ours — through one registry.
 
 use crate::common::{FeatureTransformMethod, RunContext, RunScope, TransformOutcome};
-use fastft_core::{FastFtConfig, FeatureSet, Session};
+use fastft_core::{FastFt, FastFtConfig, FeatureSet};
 use fastft_tabular::{Dataset, FastFtResult};
 
 /// The full FASTFT framework as a [`FeatureTransformMethod`].
@@ -32,9 +32,8 @@ impl FeatureTransformMethod for FastFtMethod {
             threads: ctx.runtime.threads(),
             ..self.cfg.clone()
         };
-        // Compose the staged pipeline explicitly: one validated Session
-        // whose worker pool matches the harness runtime.
-        let result = Session::new(cfg)?.run(data)?;
+        // The run's worker pool matches the harness runtime.
+        let result = FastFt::new(cfg).fit(data)?;
         let mut fs = FeatureSet::from_original(data);
         fs.data = result.best_dataset;
         fs.exprs = result.best_exprs;

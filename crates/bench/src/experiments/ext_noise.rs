@@ -5,6 +5,7 @@
 use crate::report::Table;
 use crate::Scale;
 use fastft_baselines::{expansion::Rfg, FeatureTransformMethod, RunContext};
+use fastft_core::pipeline::NullObserver;
 use fastft_core::Session;
 use fastft_runtime::Runtime;
 use fastft_tabular::noise;
@@ -34,7 +35,7 @@ pub fn run(scale: Scale) {
         let base = evaluator.evaluate(&data).expect("base evaluation");
         let ctx = RunContext::new(&evaluator, &rt, 0);
         let rfg = Rfg::default().run(&data, &ctx).expect("RFG run").score;
-        let fast = session.run(&data).expect("FASTFT fit").best_score;
+        let fast = session.run(&data, &mut NullObserver).expect("FASTFT fit").best_score;
         table.row([
             label.to_string(),
             format!("{base:.3}"),

@@ -9,7 +9,7 @@
 use crate::report::Table;
 use crate::Scale;
 use fastft_core::predictor::{PerformancePredictor, PredictorConfig};
-use fastft_core::Session;
+use fastft_core::FastFt;
 
 /// Run the Fig. 11 reproduction.
 pub fn run(scale: Scale) {
@@ -34,9 +34,8 @@ pub fn run(scale: Scale) {
     let mut cfg = scale.fastft_config(0);
     cfg.episodes = cfg.episodes.clamp(4, 10);
     cfg.cold_start_episodes = cfg.cold_start_episodes.min(cfg.episodes / 2).max(1);
-    let with = Session::new(cfg.clone()).and_then(|s| s.run(&data)).expect("FASTFT fit");
-    let without =
-        Session::new(cfg.without_predictor()).and_then(|s| s.run(&data)).expect("FASTFT fit");
+    let with = FastFt::new(cfg.clone()).fit(&data).expect("FASTFT fit");
+    let without = FastFt::new(cfg.without_predictor()).fit(&data).expect("FASTFT fit");
     let mem_kb = predictor.memory_bytes(192) as f64 / 1024.0 * 2.0; // predictor + RND pair
     let mut trade = Table::new(["Quantity", "Value"]);
     trade.row(["Extra component memory".into(), format!("{mem_kb:.1} KB")]);

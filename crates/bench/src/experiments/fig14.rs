@@ -4,7 +4,7 @@
 
 use crate::report::Table;
 use crate::Scale;
-use fastft_core::{RunResult, Session};
+use fastft_core::{FastFt, RunResult};
 
 fn series(r: &RunResult) -> Vec<(usize, f64, usize, f64)> {
     // (step, cumulative avg novelty distance, cumulative new combinations,
@@ -29,10 +29,9 @@ pub fn run(scale: Scale) {
     let data = scale.load("pima_indian", 0);
     // Both variants compose the same staged pipeline; −NE only changes the
     // configuration the reward stage sees.
-    let full = Session::new(scale.fastft_config(0)).and_then(|s| s.run(&data)).expect("FASTFT fit");
-    let no_ne = Session::new(scale.fastft_config(0).without_novelty())
-        .and_then(|s| s.run(&data))
-        .expect("FASTFT fit");
+    let full = FastFt::new(scale.fastft_config(0)).fit(&data).expect("FASTFT fit");
+    let no_ne =
+        FastFt::new(scale.fastft_config(0).without_novelty()).fit(&data).expect("FASTFT fit");
     let a = series(&full);
     let b = series(&no_ne);
     let mut table = Table::new([

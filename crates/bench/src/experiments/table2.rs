@@ -4,7 +4,7 @@
 
 use crate::report::Table;
 use crate::Scale;
-use fastft_core::Session;
+use fastft_core::FastFt;
 use fastft_tabular::Dataset;
 
 const DATASETS: [&str; 4] =
@@ -56,10 +56,8 @@ pub fn run(scale: Scale) {
 
         // Both variants compose the same staged pipeline; the ablation is
         // purely the configuration the stages see.
-        let without = Session::new(cfg.clone().without_predictor())
-            .and_then(|s| s.run(&data))
-            .expect("FASTFT fit");
-        let with = Session::new(cfg).and_then(|s| s.run(&data)).expect("FASTFT fit");
+        let without = FastFt::new(cfg.clone().without_predictor()).fit(&data).expect("FASTFT fit");
+        let with = FastFt::new(cfg).fit(&data).expect("FASTFT fit");
         let (tw, to) = (with.telemetry, without.telemetry);
 
         table.row([

@@ -11,8 +11,9 @@
 //!
 //! All argument parsing is dependency-free (`--flag value` pairs only).
 
+use fastft_core::pipeline::NullObserver;
 use fastft_core::report::{apply_feature_set, load_feature_set, save_feature_set, summary};
-use fastft_core::{FastFt, FastFtConfig, FastFtError, FastFtResult};
+use fastft_core::{FastFt, FastFtConfig, FastFtError, FastFtResult, Session};
 use fastft_ml::Evaluator;
 use fastft_tabular::{csvio, datagen, impute, TaskType};
 use std::path::{Path, PathBuf};
@@ -239,39 +240,33 @@ pub fn execute(cmd: Command) -> FastFtResult<()> {
                 d.n_rows(),
                 d.n_features()
             );
+            // Budgets, checkpointing and the thread count apply the same
+            // way to a fresh run and a resumed one. On resume they are the
+            // only overrides of the checkpoint's configuration, and all are
+            // safe to change without breaking resume parity (results are
+            // thread-count invariant).
+            let run_flags = |cfg: &mut FastFtConfig| {
+                cfg.max_wall_secs = max_seconds;
+                cfg.max_downstream_evals = max_evals;
+                cfg.threads = threads;
+                if let Some(path) = checkpoint {
+                    cfg.checkpoint_path = Some(path);
+                    cfg.checkpoint_every = checkpoint_every.max(1);
+                }
+            };
             let result = if let Some(ckpt) = resume {
                 println!("resuming from {}", ckpt.display());
-                // The checkpoint carries the run's configuration; the CLI
-                // only overrides budgets, checkpointing and the thread
-                // count, all of which are safe to change without breaking
-                // resume parity (results are thread-count invariant).
-                FastFt::resume_with(&ckpt, &d, |cfg| {
-                    cfg.max_wall_secs = max_seconds;
-                    cfg.max_downstream_evals = max_evals;
-                    cfg.threads = threads;
-                    if let Some(path) = checkpoint {
-                        cfg.checkpoint_path = Some(path);
-                        cfg.checkpoint_every = checkpoint_every.max(1);
-                    }
-                })?
+                Session::resume(&ckpt, &d, run_flags, &mut NullObserver)?
             } else {
-                let cfg = FastFtConfig {
+                let mut cfg = FastFtConfig {
                     episodes,
                     steps_per_episode: steps,
                     cold_start_episodes: (episodes / 4).max(1),
                     seed,
                     evaluator: Evaluator::default(),
-                    max_wall_secs: max_seconds,
-                    max_downstream_evals: max_evals,
-                    checkpoint_every: if checkpoint.is_some() {
-                        checkpoint_every.max(1)
-                    } else {
-                        0
-                    },
-                    checkpoint_path: checkpoint,
-                    threads,
                     ..FastFtConfig::quick()
                 };
+                run_flags(&mut cfg);
                 FastFt::new(cfg).fit(&d)?
             };
             print!("{}", summary(&result));

@@ -15,6 +15,10 @@ use fastft_tabular::{FastFtError, FastFtResult};
 /// Novelty Estimator in a search (paper §V: 32).
 pub const COMPONENT_DIM: usize = 32;
 
+/// Largest accepted [`FastFtConfig::threads`]: a pool spawns its threads
+/// up front, and the value may come from a flag or an untrusted checkpoint.
+pub const MAX_THREADS: usize = 1024;
+
 /// Feature-count cap as a multiple of the original width.
 const MAX_FEATURES_FACTOR: f64 = 2.0;
 /// Absolute feature-count cap.
@@ -84,7 +88,7 @@ pub struct FastFtConfig {
     /// Worker-pool size for parallel hot paths (forest trees, CV folds, MI
     /// matrix). `0` means "resolve from `FASTFT_THREADS`, falling back to
     /// the machine's available parallelism". Results are byte-identical for
-    /// a given seed regardless of this value.
+    /// a given seed regardless of this value. At most [`MAX_THREADS`].
     pub threads: usize,
     /// Write a crash-safe checkpoint every this many completed episodes
     /// (`0` disables checkpointing). Requires `checkpoint_path`.
@@ -169,8 +173,8 @@ impl FastFtConfig {
     /// Check the configuration's invariants. Build a custom configuration
     /// with struct-update syntax and validate it before use:
     /// `FastFtConfig { episodes: 20, ..FastFtConfig::default() }.validate()?`.
-    /// [`crate::FastFt::fit`] and [`crate::FastFt::resume_with`] validate
-    /// too and return the same error.
+    /// Every run, fresh or resumed (after the override), checks it once,
+    /// in [`crate::Session::new`], and returns the same error.
     pub fn validate(&self) -> FastFtResult<()> {
         let err = |m: String| Err(FastFtError::InvalidConfig(m));
         if self.episodes == 0 {
@@ -205,6 +209,9 @@ impl FastFtConfig {
         }
         if self.evaluator.folds < 2 {
             return err(format!("evaluator.folds must be >= 2, got {}", self.evaluator.folds));
+        }
+        if self.threads > MAX_THREADS {
+            return err(format!("threads must be <= {MAX_THREADS}, got {}", self.threads));
         }
         if self.checkpoint_every > 0 && self.checkpoint_path.is_none() {
             return err("checkpoint_every > 0 requires checkpoint_path".into());
@@ -281,6 +288,16 @@ mod tests {
         assert!(!valid!(encoder: EncoderKind::Rnn { layers: 0 }));
         assert!(!valid!(encoder: EncoderKind::Transformer { heads: 0, blocks: 1 }));
         assert!(!valid!(encoder: EncoderKind::Transformer { heads: 5, blocks: 1 }));
+    }
+
+    #[test]
+    fn validate_caps_threads() {
+        // Checked through `validate` alone: building a pool from an
+        // oversized value would spawn its threads.
+        assert!(valid!(threads: 0));
+        assert!(valid!(threads: MAX_THREADS));
+        assert!(!valid!(threads: MAX_THREADS + 1));
+        assert!(!valid!(threads: usize::MAX));
     }
 
     #[test]

@@ -15,18 +15,17 @@
 //!    components fine-tune every `retrain_every` episodes.
 //!
 //! The run loop itself lives in [`crate::pipeline`]: a staged
-//! [`Driver`] composing
+//! [`Driver`](crate::pipeline::Driver) composing
 //! [`CandidateSource`](crate::pipeline::CandidateSource),
 //! [`RewardModel`](crate::pipeline::RewardModel) and
 //! [`Learner`](crate::pipeline::Learner) stages over a single
-//! [`SearchState`](crate::pipeline::SearchState). [`FastFt`] is a thin
-//! façade over [`Session`] that keeps the
-//! original one-call API.
+//! [`SearchState`](crate::pipeline::SearchState). Every run starts in
+//! [`Session`]; [`FastFt`] keeps the original one-call API as two one-line
+//! calls into it, with no observer attached.
 
-use crate::checkpoint;
 use crate::config::FastFtConfig;
-use crate::pipeline::{Driver, NullObserver, Session};
-use fastft_tabular::{Dataset, FastFtError, FastFtResult};
+use crate::pipeline::{NullObserver, Session};
+use fastft_tabular::{Dataset, FastFtResult};
 use std::path::Path;
 
 pub use crate::pipeline::{RunResult, StepRecord, StopReason, Telemetry};
@@ -45,107 +44,27 @@ impl FastFt {
     }
 
     /// Run the full pipeline on `data` and return the best transformed
-    /// dataset found, with traces and timing.
-    ///
-    /// Equivalent to a one-dataset [`Session`];
-    /// use a `Session` directly to run several datasets over one shared
-    /// worker pool.
+    /// dataset found, with traces and timing: a one-dataset
+    /// [`Session::run`] with no observer. Use a `Session` directly to
+    /// attach an observer or to run several datasets over one worker pool.
     ///
     /// # Errors
     ///
-    /// Returns [`FastFtError::InvalidConfig`] if the configuration fails
-    /// [`FastFtConfig::validate`], [`FastFtError::InvalidData`] if `data`
-    /// is degenerate (no feature columns, fewer than two rows, or
-    /// non-finite values), and [`FastFtError::Evaluation`] if the
-    /// downstream evaluator cannot score the *original* feature set.
-    /// Candidate evaluations that fail mid-run are fault-isolated and
-    /// quarantined instead of aborting the run.
+    /// As [`Session::new`] and [`Session::run`].
     pub fn fit(&self, data: &Dataset) -> FastFtResult<RunResult> {
-        Session::new(self.cfg.clone())?.run(data)
+        Session::new(self.cfg.clone())?.run(data, &mut NullObserver)
     }
 
-    /// Continue a run from a checkpoint written via
-    /// [`FastFtConfig::checkpoint_every`]. `data` must be the dataset the
-    /// checkpointed run was fitted on (verified by fingerprint).
-    ///
-    /// The checkpoint is loaded into a fresh
-    /// [`SearchState`](crate::pipeline::SearchState) (best-so-far result
-    /// included), and the run continues through the same episode loop as
-    /// [`fit`](FastFt::fit). The resumed run is **bitwise identical** to the
-    /// uninterrupted one: the same decisions, scores, records and
-    /// deterministic telemetry counters come out, because the checkpoint
-    /// captures the RNG stream, all network weights with optimiser state,
-    /// the replay buffer and the memo cache. Only wall times and the split
-    /// of prefix-cache calls into hits and misses differ (those caches
-    /// restart cold; the counts accrued before the checkpoint carry over).
+    /// Continue the run checkpointed at `path` on `data` with the
+    /// checkpoint's own configuration: [`Session::resume`] with no override
+    /// and no observer, bitwise identical to the uninterrupted run.
     ///
     /// # Errors
     ///
-    /// [`FastFtError::Io`] if the file cannot be read,
-    /// [`FastFtError::Parse`] if it is not a valid checkpoint of the
-    /// current format version, and
-    /// [`FastFtError::InvalidData`] if `data` does not match the
-    /// checkpoint's dataset fingerprint.
+    /// As [`Session::resume`].
     pub fn resume(path: impl AsRef<Path>, data: &Dataset) -> FastFtResult<RunResult> {
-        Self::resume_with(path, data, |_| {})
+        Session::resume(path, data, |_| {}, &mut NullObserver)
     }
-
-    /// [`resume`](FastFt::resume) with a configuration override hook,
-    /// applied before the run restarts — the supported use is adjusting
-    /// run budgets, checkpoint cadence or thread count (e.g. lifting
-    /// `max_downstream_evals` to let a budget-stopped run finish).
-    /// Changing learning hyperparameters mid-run voids the bitwise-parity
-    /// guarantee.
-    pub fn resume_with(
-        path: impl AsRef<Path>,
-        data: &Dataset,
-        override_cfg: impl FnOnce(&mut FastFtConfig),
-    ) -> FastFtResult<RunResult> {
-        let (mut cfg, snap) = checkpoint::read(path.as_ref())?;
-        override_cfg(&mut cfg);
-        cfg.validate()?;
-        validate_data(data)?;
-        if checkpoint::dataset_fingerprint(data) != snap.data_fingerprint {
-            return Err(FastFtError::InvalidData(format!(
-                "checkpoint '{}' was written for a different dataset (fingerprint mismatch)",
-                path.as_ref().display()
-            )));
-        }
-        let session = Session::new(cfg)?;
-        Driver::new(session.cfg(), data, session.runtime()).resume(snap, &mut NullObserver)
-    }
-}
-
-/// Degenerate-input guards shared by [`FastFt::fit`] and
-/// [`FastFt::resume`]: inputs that would otherwise surface as panics or
-/// NaN scores deep inside a run are rejected up front with a typed error.
-pub(crate) fn validate_data(data: &Dataset) -> FastFtResult<()> {
-    if data.n_features() == 0 {
-        return Err(FastFtError::InvalidData(format!(
-            "dataset '{}' has no feature columns",
-            data.name
-        )));
-    }
-    if data.n_rows() < 2 {
-        return Err(FastFtError::InvalidData(format!(
-            "dataset '{}' has {} row(s); cross-validated evaluation needs at least 2",
-            data.name,
-            data.n_rows()
-        )));
-    }
-    if let Some(c) = data.features.iter().find(|c| c.values.iter().any(|v| !v.is_finite())) {
-        return Err(FastFtError::InvalidData(format!(
-            "feature column '{}' contains non-finite values; call Dataset::sanitize() first",
-            c.name
-        )));
-    }
-    if data.targets.iter().any(|t| !t.is_finite()) {
-        return Err(FastFtError::InvalidData(format!(
-            "dataset '{}' has non-finite target values",
-            data.name
-        )));
-    }
-    Ok(())
 }
 
 #[cfg(test)]
@@ -154,7 +73,7 @@ mod tests {
     use crate::pipeline::{SearchState, StageCx, TelemetryCollector};
     use fastft_ml::Evaluator;
     use fastft_runtime::Runtime;
-    use fastft_tabular::datagen;
+    use fastft_tabular::{datagen, FastFtError};
 
     fn small_data(name: &str, rows: usize, seed: u64) -> Dataset {
         let spec = datagen::by_name(name).unwrap();
@@ -279,7 +198,7 @@ mod tests {
         let cfg = tiny_cfg();
         let rt = Runtime::new(1);
         let mut state = SearchState::new(&cfg, &data);
-        let mut obs = crate::pipeline::NullObserver;
+        let mut obs = NullObserver;
         let mut cx = StageCx {
             cfg: &cfg,
             original: &data,
@@ -312,7 +231,7 @@ mod tests {
         cfg.eval_cache_capacity = 2;
         let rt = Runtime::new(1);
         let mut state = SearchState::new(&cfg, &data);
-        let mut obs = crate::pipeline::NullObserver;
+        let mut obs = NullObserver;
         let mut cx = StageCx {
             cfg: &cfg,
             original: &data,
@@ -497,7 +416,7 @@ mod tests {
         let data = small_data("pima_indian", 120, 16);
         let via_fit = FastFt::new(tiny_cfg()).fit(&data).unwrap();
         let session = Session::new(tiny_cfg()).unwrap();
-        let via_session = session.run(&data).unwrap();
+        let via_session = session.run(&data, &mut NullObserver).unwrap();
         assert_eq!(via_fit.base_score, via_session.base_score);
         assert_eq!(via_fit.best_score, via_session.best_score);
         assert_eq!(via_fit.records, via_session.records);
@@ -508,16 +427,15 @@ mod tests {
         let a = small_data("pima_indian", 120, 23);
         let b = small_data("openml_620", 120, 24);
         let session = Session::new(tiny_cfg()).unwrap();
-        let results = session.run_all(std::slice::from_ref(&a));
-        let solo = session.run(&a).unwrap();
-        assert_eq!(results.len(), 1);
-        // Runs are independent: batched and solo runs agree exactly.
-        let batched = results[0].as_ref().unwrap();
-        assert_eq!(batched.best_score, solo.best_score);
-        assert_eq!(batched.records, solo.records);
+        let first = session.run(&a, &mut NullObserver).unwrap();
         // A second, different dataset runs over the same pool.
-        let rb = session.run(&b).unwrap();
+        let rb = session.run(&b, &mut NullObserver).unwrap();
         assert!(rb.best_score >= rb.base_score);
+        // Runs are independent: repeating the first dataset after another
+        // run on the pool agrees exactly.
+        let again = session.run(&a, &mut NullObserver).unwrap();
+        assert_eq!(first.best_score, again.best_score);
+        assert_eq!(first.records, again.records);
     }
 
     #[test]
@@ -526,7 +444,7 @@ mod tests {
         let cfg = tiny_cfg();
         let session = Session::new(cfg.clone()).unwrap();
         let mut collector = TelemetryCollector::new();
-        let r = session.run_observed(&data, &mut collector).unwrap();
+        let r = session.run(&data, &mut collector).unwrap();
         let t = collector.telemetry();
         assert_eq!(t.downstream_evals, r.telemetry.downstream_evals);
         assert_eq!(t.cache_hits, r.telemetry.cache_hits);
@@ -550,9 +468,9 @@ mod tests {
         // Attaching an observer must not perturb the decision stream.
         let data = small_data("pima_indian", 120, 26);
         let session = Session::new(tiny_cfg()).unwrap();
-        let plain = session.run(&data).unwrap();
+        let plain = session.run(&data, &mut NullObserver).unwrap();
         let mut collector = TelemetryCollector::new();
-        let observed = session.run_observed(&data, &mut collector).unwrap();
+        let observed = session.run(&data, &mut collector).unwrap();
         assert_eq!(plain.best_score, observed.best_score);
         assert_eq!(plain.records, observed.records);
     }

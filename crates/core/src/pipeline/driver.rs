@@ -8,11 +8,14 @@
 //! single owner of RNG-consumption order, which is what makes every
 //! composition of stages (full method, ablations, resumed runs) share one
 //! decision stream.
+//!
+//! Both ways into the loop, [`Driver::execute`] and [`Driver::resume`],
+//! reject degenerate data before any work, custom stages included.
 
 use crate::agents::{Decision, MemoryUnit};
 use crate::checkpoint::{self, Snapshot};
 use crate::config::FastFtConfig;
-use crate::pipeline::event::{NullObserver, RunEvent, RunObserver};
+use crate::pipeline::event::{RunEvent, RunObserver};
 use crate::pipeline::search_state::SearchState;
 use crate::pipeline::stages::{
     AdaptiveRewardModel, CandidateSource, CascadeSource, Learner, ReplayLearner, RewardModel,
@@ -23,8 +26,31 @@ use crate::sequence::{canonical_key, encode_feature_set};
 use crate::state;
 use crate::transform::FeatureSet;
 use fastft_runtime::Runtime;
-use fastft_tabular::{Dataset, FastFtResult};
+use fastft_tabular::{Dataset, FastFtError, FastFtResult};
 use std::time::Instant;
+
+/// Degenerate-input guards of every run start: inputs that would
+/// otherwise surface as panics or NaN scores deep inside a run are rejected
+/// up front with [`FastFtError::InvalidData`].
+fn validate_data(data: &Dataset) -> FastFtResult<()> {
+    let name = &data.name;
+    let problem = if data.n_features() == 0 {
+        format!("dataset '{name}' has no feature columns")
+    } else if data.n_rows() < 2 {
+        let n = data.n_rows();
+        format!("dataset '{name}' has {n} row(s); cross-validated evaluation needs at least 2")
+    } else if let Some(c) = data.features.iter().find(|c| c.values.iter().any(|v| !v.is_finite())) {
+        format!(
+            "feature column '{}' contains non-finite values; call Dataset::sanitize() first",
+            c.name
+        )
+    } else if data.targets.iter().any(|t| !t.is_finite()) {
+        format!("dataset '{name}' has non-finite target values")
+    } else {
+        return Ok(());
+    };
+    Err(FastFtError::InvalidData(problem))
+}
 
 /// Which run budget, if any, is exhausted at this step boundary. Pure
 /// bookkeeping — no RNG is consumed — so a budget-stopped run stays on
@@ -90,9 +116,10 @@ impl<'a, S: CandidateSource, R: RewardModel, L: Learner> Driver<'a, S, R, L> {
         }
     }
 
-    /// Run from scratch: evaluate the base score, then enter the episode
-    /// loop at episode 0.
+    /// Run from scratch: check the data, evaluate the base score, then
+    /// enter the episode loop at episode 0.
     pub fn execute(mut self, observer: &mut dyn RunObserver) -> FastFtResult<RunResult> {
+        validate_data(self.original)?;
         let t_start = Instant::now();
         let base_key = canonical_key(&self.state.best_fs.exprs);
         let base_score = StageCx {
@@ -110,14 +137,16 @@ impl<'a, S: CandidateSource, R: RewardModel, L: Learner> Driver<'a, S, R, L> {
         self.run_episodes(observer)
     }
 
-    /// Continue a checkpointed run: load `snap` (taken on `original`) into
-    /// the state, then enter the same episode loop at the checkpointed
-    /// boundary — one code path, and one decision stream, for both.
+    /// Continue a checkpointed run: check the data, load `snap` into the
+    /// state (which checks its dataset fingerprint), then enter the same
+    /// episode loop at the checkpointed boundary — one code path, and one
+    /// decision stream, for both.
     pub fn resume(
         mut self,
         snap: Snapshot,
         observer: &mut dyn RunObserver,
     ) -> FastFtResult<RunResult> {
+        validate_data(self.original)?;
         self.state.restore(snap, self.cfg, self.original)?;
         self.run_episodes(observer)
     }
@@ -274,10 +303,5 @@ impl<'a, S: CandidateSource, R: RewardModel, L: Learner> Driver<'a, S, R, L> {
             telemetry,
             stop_reason: stop,
         })
-    }
-
-    /// [`execute`](Driver::execute) with no observer attached.
-    pub fn run(self) -> FastFtResult<RunResult> {
-        self.execute(&mut NullObserver)
     }
 }

@@ -110,7 +110,10 @@ impl RunObserver for NullObserver {
 ///
 /// Wall-clock fields stay zero (events carry no timings). For a run started
 /// from scratch the counter fields equal the run's own telemetry — asserted
-/// by `observer_counters_match_telemetry` in the engine tests.
+/// by `observer_counters_match_telemetry` in the engine tests. A resumed
+/// run starts from the checkpoint's telemetry and the collector sees only
+/// the resumed leg's events, so each counter is what that leg added:
+/// collector + checkpoint telemetry = the resumed run's telemetry.
 #[derive(Debug, Default, Clone)]
 pub struct TelemetryCollector {
     telemetry: Telemetry,

@@ -15,14 +15,18 @@
 //! * [`RunEvent`] / [`RunObserver`] — a passive narration of the run;
 //!   [`TelemetryCollector`] reconstructs the deterministic telemetry
 //!   counters purely from events.
-//! * [`Session`] — a validated configuration bound to one shared
-//!   [`Runtime`](fastft_runtime::Runtime), running any number of datasets
-//!   over the same worker pool.
+//! * [`Session`] — the one place a run starts: it validates the
+//!   configuration once, owns one shared
+//!   [`Runtime`](fastft_runtime::Runtime), and runs or resumes any number
+//!   of datasets over it with an observer attached. The driver's
+//!   [`execute`](Driver::execute) and [`resume`](Driver::resume) check the
+//!   data before any work, so a custom-stage driver gets the same guards.
 //!
-//! [`FastFt`](crate::FastFt) is a thin façade over [`Session`]; the
-//! refactor from the former monolithic engine is bitwise-invisible —
-//! identical results, step records and checkpoint bytes for fixed seeds
-//! (pinned by the `pipeline_parity` golden-trace test).
+//! [`FastFt`](crate::FastFt)'s `fit` and `resume` are one-line calls into
+//! [`Session`]; the refactor from the former monolithic engine is
+//! bitwise-invisible — identical results, step records and checkpoint
+//! bytes for fixed seeds (pinned by the `pipeline_parity` golden-trace
+//! test).
 
 pub mod driver;
 pub mod event;

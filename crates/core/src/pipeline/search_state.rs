@@ -220,7 +220,8 @@ impl SearchState {
     /// feature set, comes from the snapshot.
     ///
     /// Destructures the snapshot exhaustively, so a new snapshot field
-    /// fails to compile here until it is restored.
+    /// fails to compile here until it is restored. A snapshot of another
+    /// dataset is [`FastFtError::InvalidData`], before any state changes.
     pub fn restore(
         &mut self,
         snap: Snapshot,
@@ -229,7 +230,7 @@ impl SearchState {
     ) -> FastFtResult<()> {
         let bad = |what: &str, e: String| FastFtError::Parse(format!("checkpoint: {what}: {e}"));
         let Snapshot {
-            data_fingerprint: _, // checked against the dataset by the caller
+            data_fingerprint,
             next_episode,
             global_step,
             base_score,
@@ -255,6 +256,11 @@ impl SearchState {
             nov_m2,
             quarantine,
         } = snap;
+        if data_fingerprint != checkpoint::dataset_fingerprint(data) {
+            return Err(FastFtError::InvalidData(
+                "checkpoint was written for a different dataset (fingerprint mismatch)".into(),
+            ));
+        }
         self.best_fs = restore_feature_set(data, best_exprs, best_columns)?;
         self.rng = StdRng::from_state(rng);
         self.agents.load_state(&agents).map_err(|e| bad("agents", e))?;

@@ -1,19 +1,20 @@
-//! Multi-dataset session over one shared worker pool.
-//!
-//! [`Session`] owns a validated [`FastFtConfig`] and a single
-//! [`Runtime`]: every run launched through it shares the same worker
-//! threads instead of spinning up a pool per `fit` call. One run per
-//! dataset keeps runs independent (each gets a fresh
-//! [`SearchState`](crate::pipeline::SearchState) from the same seed), so
-//! results are identical to running each dataset alone.
+//! The one place a run starts. [`Session`] owns a validated
+//! [`FastFtConfig`] (its `new` is the only caller of
+//! [`FastFtConfig::validate`]) and one [`Runtime`] that every run launched
+//! through it shares. [`Session::run`] starts a fresh run and
+//! [`Session::resume`] continues a checkpointed one, both with an observer
+//! and through the same [`Driver`] loop. Each run gets a fresh
+//! [`SearchState`](crate::pipeline::SearchState), so results are identical
+//! to running each dataset alone.
 
+use crate::checkpoint;
 use crate::config::FastFtConfig;
-use crate::engine::validate_data;
 use crate::pipeline::driver::Driver;
-use crate::pipeline::event::{NullObserver, RunObserver};
+use crate::pipeline::event::RunObserver;
 use crate::pipeline::RunResult;
 use fastft_runtime::Runtime;
 use fastft_tabular::{Dataset, FastFtResult};
+use std::path::Path;
 
 /// A validated configuration bound to one shared worker pool.
 pub struct Session {
@@ -46,7 +47,8 @@ impl Session {
         &self.runtime
     }
 
-    /// Run the staged pipeline on one dataset.
+    /// Run the staged pipeline on one dataset, narrating it to `observer`.
+    /// Observers are passive, so the result is identical with any observer.
     ///
     /// # Errors
     ///
@@ -55,25 +57,41 @@ impl Session {
     /// *original* feature set cannot be scored (mid-run candidate faults
     /// are quarantined instead), [`fastft_tabular::FastFtError::Io`] if a
     /// configured checkpoint cannot be written.
-    pub fn run(&self, data: &Dataset) -> FastFtResult<RunResult> {
-        self.run_observed(data, &mut NullObserver)
-    }
-
-    /// [`run`](Session::run) with a [`RunObserver`] attached. Observers
-    /// are passive, so the result is identical with or without one.
-    pub fn run_observed(
-        &self,
-        data: &Dataset,
-        observer: &mut dyn RunObserver,
-    ) -> FastFtResult<RunResult> {
-        validate_data(data)?;
+    pub fn run(&self, data: &Dataset, observer: &mut dyn RunObserver) -> FastFtResult<RunResult> {
         Driver::new(&self.cfg, data, &self.runtime).execute(observer)
     }
 
-    /// Run every dataset in order over the shared pool, collecting one
-    /// result (or error) per dataset. A dataset that fails does not stop
-    /// the rest.
-    pub fn run_all(&self, datasets: &[Dataset]) -> Vec<FastFtResult<RunResult>> {
-        datasets.iter().map(|d| self.run(d)).collect()
+    /// Continue the run checkpointed at `path` (see
+    /// [`FastFtConfig::checkpoint_every`]) on `data`, the dataset it was
+    /// fitted on, narrating the resumed leg to `observer`: each observed
+    /// counter is the resumed run's minus the checkpoint's.
+    ///
+    /// `override_cfg` may adjust the checkpoint's configuration before it
+    /// is validated: run budgets, checkpointing, thread count (e.g. lifting
+    /// `max_downstream_evals` to let a budget-stopped run finish). The
+    /// result is then **bitwise identical** to the uninterrupted run —
+    /// decisions, scores, records and deterministic counters — because the
+    /// checkpoint captures the RNG stream, all weights with optimiser
+    /// state, the replay buffer and the memo cache. Only wall times and the
+    /// prefix-cache hit/miss split differ (those caches restart cold).
+    /// Changing learning hyperparameters mid-run voids the guarantee.
+    ///
+    /// # Errors
+    ///
+    /// [`fastft_tabular::FastFtError::Io`] if the file cannot be read,
+    /// [`fastft_tabular::FastFtError::Parse`] if it is not a valid
+    /// checkpoint of this format version, `InvalidConfig` as
+    /// [`Session::new`], and [`fastft_tabular::FastFtError::InvalidData`] if
+    /// `data` is degenerate or not the checkpoint's dataset.
+    pub fn resume(
+        path: impl AsRef<Path>,
+        data: &Dataset,
+        override_cfg: impl FnOnce(&mut FastFtConfig),
+        observer: &mut dyn RunObserver,
+    ) -> FastFtResult<RunResult> {
+        let (mut cfg, snap) = checkpoint::read(path.as_ref())?;
+        override_cfg(&mut cfg);
+        let session = Session::new(cfg)?;
+        Driver::new(&session.cfg, data, &session.runtime).resume(snap, observer)
     }
 }

@@ -112,7 +112,8 @@ impl Persist for Evaluator {
         folds.persist(w);
         seed.persist(w);
         // `fault_plan` is a test-only hook with process-local state; it is
-        // never persisted. `FastFt::resume_with` can reattach one.
+        // never persisted. A resume can reattach one through the
+        // configuration override of `Session::resume`.
     }
 
     fn restore(r: &mut Reader) -> PersistResult<Self> {

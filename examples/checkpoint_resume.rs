@@ -11,7 +11,8 @@
 //! and completes. A third, uninterrupted run confirms the resumed result
 //! matches exactly.
 
-use fastft_core::{FastFt, FastFtConfig, StopReason};
+use fastft_core::pipeline::NullObserver;
+use fastft_core::{FastFt, FastFtConfig, Session, StopReason};
 use fastft_tabular::{datagen, FastFtResult};
 
 fn main() -> FastFtResult<()> {
@@ -41,7 +42,8 @@ fn main() -> FastFtResult<()> {
     assert_eq!(stopped.stop_reason, StopReason::EvalBudget);
 
     println!("run 2: resume from {} with the budget lifted", ckpt.display());
-    let resumed = FastFt::resume_with(&ckpt, &data, |c| c.max_downstream_evals = 0)?;
+    let lift_budget = |c: &mut FastFtConfig| c.max_downstream_evals = 0;
+    let resumed = Session::resume(&ckpt, &data, lift_budget, &mut NullObserver)?;
     println!(
         "  completed: {} records, best {:.4} ({:?})",
         resumed.records.len(),

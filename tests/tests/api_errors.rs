@@ -3,7 +3,8 @@
 //! `FastFtConfig::validate` checks custom configurations built with
 //! struct-update syntax.
 
-use fastft_core::{FastFt, FastFtConfig};
+use fastft_core::pipeline::NullObserver;
+use fastft_core::{FastFt, FastFtConfig, Session};
 use fastft_ml::Evaluator;
 use fastft_nn::EncoderKind;
 use fastft_tabular::{csvio, datagen, Column, Dataset, FastFtError, TaskType};
@@ -141,7 +142,8 @@ fn resume_rejects_unbuildable_encoders() {
     // A checkpoint whose config names such an encoder is refused the same
     // way, before any network is built.
     for encoder in unbuildable_encoders() {
-        let err = FastFt::resume_with(&path, &d, |c| c.encoder = encoder).unwrap_err();
+        let err =
+            Session::resume(&path, &d, |c| c.encoder = encoder, &mut NullObserver).unwrap_err();
         assert!(matches!(err, FastFtError::InvalidConfig(_)), "{encoder:?}: got {err:?}");
     }
 }

@@ -2,7 +2,8 @@
 //! resumed must be bitwise-identical to the same run left uninterrupted —
 //! same best score, same expressions, same per-step trace, same counters.
 
-use fastft_core::{checkpoint, FastFt, FastFtConfig, StopReason};
+use fastft_core::pipeline::{NullObserver, TelemetryCollector};
+use fastft_core::{checkpoint, FastFt, FastFtConfig, RunResult, Session, StopReason, Telemetry};
 use fastft_ml::Evaluator;
 use fastft_tabular::{datagen, FastFtError};
 use std::path::PathBuf;
@@ -15,6 +16,7 @@ fn cfg() -> FastFtConfig {
         retrain_every: 2,
         retrain_epochs: 8,
         evaluator: Evaluator { folds: 3, ..Evaluator::default() },
+        threads: integration_tests::test_threads(),
         ..FastFtConfig::default()
     }
 }
@@ -32,27 +34,23 @@ fn tmp_path(tag: &str) -> PathBuf {
 
 /// Run `base` to completion, then run it again killed by an evaluation
 /// budget with a checkpoint at every episode boundary, resume with the
-/// budget lifted, and require the two results to agree bit for bit.
-fn assert_kill_and_resume_matches(base: FastFtConfig, tag: &str) {
+/// budget lifted on `resume_threads` workers, and require the two results
+/// to agree bit for bit.
+fn assert_kill_and_resume_matches(base: FastFtConfig, resume_threads: usize, tag: &str) {
     let data = load("pima_indian", 200, 0);
     let full = FastFt::new(base.clone()).fit(&data).unwrap();
     assert_eq!(full.stop_reason, StopReason::Completed);
 
     // "Crash" the same run mid-way via an evaluation budget, checkpointing
     // at every episode boundary, then resume with the budget lifted.
-    let ckpt = tmp_path(tag);
-    let stopped = FastFt::new(FastFtConfig {
-        checkpoint_every: 1,
-        checkpoint_path: Some(ckpt.clone()),
-        max_downstream_evals: 8,
-        ..base
-    })
-    .fit(&data)
-    .unwrap();
-    assert_eq!(stopped.stop_reason, StopReason::EvalBudget);
+    let (ckpt, stopped) = budget_stopped_checkpoint(base, &data, tag);
     assert!(stopped.records.len() < full.records.len(), "budget did not interrupt the run");
 
-    let resumed = FastFt::resume_with(&ckpt, &data, |c| c.max_downstream_evals = 0).unwrap();
+    let finish = |c: &mut FastFtConfig| {
+        c.max_downstream_evals = 0;
+        c.threads = resume_threads;
+    };
+    let resumed = Session::resume(&ckpt, &data, finish, &mut NullObserver).unwrap();
     assert_eq!(resumed.stop_reason, StopReason::Completed);
 
     // Bitwise parity of everything the search produced...
@@ -81,8 +79,104 @@ fn assert_kill_and_resume_matches(base: FastFtConfig, tag: &str) {
 /// whose replay draws are uniform.
 #[test]
 fn kill_and_resume_is_bitwise_identical_to_uninterrupted_run() {
-    assert_kill_and_resume_matches(cfg(), "parity");
-    assert_kill_and_resume_matches(cfg().without_critical_replay(), "parity-no-rct");
+    let threads = cfg().threads;
+    assert_kill_and_resume_matches(cfg(), threads, "parity");
+    assert_kill_and_resume_matches(cfg().without_critical_replay(), threads, "parity-no-rct");
+}
+
+/// The worker count is one of the overrides a resume may change: a run
+/// killed at one worker and resumed at four replays the uninterrupted
+/// one-worker run bit for bit.
+#[test]
+fn resume_at_four_workers_matches_one_worker_run() {
+    assert_kill_and_resume_matches(FastFtConfig { threads: 1, ..cfg() }, 4, "threads-1-to-4");
+}
+
+/// A run of `base` on `data` stopped by an evaluation budget, with a
+/// checkpoint at every episode boundary: the checkpoint's path and the
+/// stopped run's result.
+fn budget_stopped_checkpoint(
+    base: FastFtConfig,
+    data: &fastft_tabular::Dataset,
+    tag: &str,
+) -> (PathBuf, RunResult) {
+    let ckpt = tmp_path(tag);
+    let cfg = FastFtConfig {
+        checkpoint_every: 1,
+        checkpoint_path: Some(ckpt.clone()),
+        max_downstream_evals: 8,
+        ..base
+    };
+    let stopped = FastFt::new(cfg).fit(data).unwrap();
+    assert_eq!(stopped.stop_reason, StopReason::EvalBudget);
+    (ckpt, stopped)
+}
+
+/// Resume override that lets a budget-stopped run finish without
+/// overwriting its checkpoint, so the same file can be resumed twice.
+fn finish_in_place(c: &mut FastFtConfig) {
+    c.max_downstream_evals = 0;
+    c.checkpoint_every = 0;
+}
+
+/// The deterministic counters of `t`, in one comparable list.
+fn counters(t: &Telemetry) -> Vec<u64> {
+    let mut v = vec![
+        t.downstream_evals as u64,
+        t.predictor_calls as u64,
+        t.cache_hits as u64,
+        t.cache_evictions as u64,
+        t.prefix_hits,
+        t.prefix_misses,
+        t.prefix_evictions,
+        t.score_batches,
+        t.eval_faults as u64,
+        t.quarantined as u64,
+        t.weight_rollbacks as u64,
+    ];
+    v.extend_from_slice(&t.batch_size_hist);
+    v
+}
+
+#[test]
+fn observed_resume_is_bitwise_identical_to_unobserved() {
+    let data = load("pima_indian", 150, 5);
+    let (ckpt, _) = budget_stopped_checkpoint(cfg(), &data, "observed");
+    let plain = Session::resume(&ckpt, &data, finish_in_place, &mut NullObserver).unwrap();
+    let mut collector = TelemetryCollector::new();
+    let observed = Session::resume(&ckpt, &data, finish_in_place, &mut collector).unwrap();
+    assert_eq!(observed.stop_reason, StopReason::Completed);
+    assert_eq!(observed.base_score.to_bits(), plain.base_score.to_bits());
+    assert_eq!(observed.best_score.to_bits(), plain.best_score.to_bits());
+    assert_eq!(observed.best_exprs, plain.best_exprs);
+    assert_eq!(observed.records, plain.records);
+    assert_eq!(observed.episode_best, plain.episode_best);
+    assert_eq!(counters(&observed.telemetry), counters(&plain.telemetry));
+    std::fs::remove_file(&ckpt).ok();
+}
+
+/// An observer attached to a resume sees only the resumed leg, and the run
+/// starts from the checkpoint's counters: collector + checkpoint = result,
+/// counter by counter.
+#[test]
+fn observed_resume_counts_exactly_the_resumed_leg() {
+    let data = load("pima_indian", 150, 6);
+    let (ckpt, _) = budget_stopped_checkpoint(cfg(), &data, "leg-counters");
+    let (_, snap) = checkpoint::read(&ckpt).unwrap();
+    let mut collector = TelemetryCollector::new();
+    let resumed = Session::resume(&ckpt, &data, finish_in_place, &mut collector).unwrap();
+    assert_eq!(resumed.stop_reason, StopReason::Completed);
+    let leg = counters(collector.telemetry());
+    let before = counters(&snap.telemetry);
+    let after = counters(&resumed.telemetry);
+    for (i, ((l, b), a)) in leg.iter().zip(&before).zip(&after).enumerate() {
+        assert_eq!(l + b, *a, "counter {i}: leg {l} + checkpoint {b} != resumed {a}");
+    }
+    assert!(collector.telemetry().downstream_evals > 0, "the resumed leg evaluated nothing");
+    assert_eq!(collector.steps() + snap.records.len(), resumed.records.len());
+    assert_eq!(collector.episodes() + snap.next_episode, cfg().episodes);
+    assert_eq!(collector.checkpoints(), 0);
+    std::fs::remove_file(&ckpt).ok();
 }
 
 #[test]

@@ -3,8 +3,10 @@
 //! (or worse, silently producing NaN scores) deep inside a run — and
 //! merely *awkward* data (constant columns) still completes normally.
 
+use fastft_core::pipeline::{Driver, NullObserver};
 use fastft_core::{FastFt, FastFtConfig, StopReason};
 use fastft_ml::Evaluator;
+use fastft_runtime::Runtime;
 use fastft_tabular::dataset::{Column, Dataset};
 use fastft_tabular::{FastFtError, TaskType};
 
@@ -50,6 +52,26 @@ fn nan_feature_values_are_rejected_with_a_sanitize_hint() {
         vec![0.0, 1.0, 0.0, 1.0],
     );
     expect_invalid(&data, "sanitize");
+}
+
+#[test]
+fn direct_driver_run_rejects_nan_features() {
+    // Custom-stage callers build a `Driver` themselves; the data guards run
+    // in `execute`, so they get the same typed rejection as `FastFt::fit`.
+    let data = classification(
+        vec![
+            Column::new("a", vec![1.0, f64::NAN, 3.0, 4.0]),
+            Column::new("b", vec![1.0, 2.0, 3.0, 4.0]),
+        ],
+        vec![0.0, 1.0, 0.0, 1.0],
+    );
+    let cfg = cfg();
+    let rt = Runtime::new(1);
+    match Driver::new(&cfg, &data, &rt).execute(&mut NullObserver) {
+        Err(FastFtError::InvalidData(msg)) => assert!(msg.contains("sanitize"), "{msg}"),
+        Err(e) => panic!("expected InvalidData, got {e:?}"),
+        Ok(_) => panic!("expected InvalidData, run succeeded"),
+    }
 }
 
 #[test]

@@ -18,6 +18,7 @@ fn cfg(plan: FaultPlan) -> FastFtConfig {
         retrain_every: 2,
         retrain_epochs: 8,
         evaluator: Evaluator { folds: 3, fault_plan: Some(plan), ..Evaluator::default() },
+        threads: integration_tests::test_threads(),
         ..FastFtConfig::default()
     }
 }

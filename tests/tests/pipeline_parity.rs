@@ -56,6 +56,7 @@ fn golden_cfg() -> FastFtConfig {
         retrain_every: 1,
         retrain_epochs: 8,
         evaluator: Evaluator { folds: 3, ..Evaluator::default() },
+        threads: integration_tests::test_threads(),
         ..FastFtConfig::default()
     }
 }
@@ -108,14 +109,15 @@ fn result_hash(r: &RunResult) -> u64 {
     h.0
 }
 
-/// Read a checkpoint, zero its wall-clock-only telemetry fields, and hash
-/// the re-encoded bytes. Everything else in the file — weights, optimiser
+/// Read a checkpoint, zero its wall-clock-only telemetry fields, pin its
+/// run-local path and worker count, and hash the re-encoded bytes. Everything else in the file — weights, optimiser
 /// moments, replay slots, RNG stream, cache recency order, histories — is
 /// deterministic and layout-sensitive, so this pins both the trace *and*
 /// the binary format.
 fn checkpoint_hash(path: &std::path::Path) -> (u64, usize) {
     let (mut cfg, mut snap) = checkpoint::read(path).expect("readable checkpoint");
     cfg.checkpoint_path = Some(std::path::PathBuf::from("golden.ckpt"));
+    cfg.threads = 1;
     snap.telemetry.optimization_secs = 0.0;
     snap.telemetry.estimation_secs = 0.0;
     snap.telemetry.evaluation_secs = 0.0;
