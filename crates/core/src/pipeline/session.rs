@@ -8,12 +8,12 @@
 //! to running each dataset alone.
 
 use crate::checkpoint;
-use crate::config::FastFtConfig;
+use crate::config::{FastFtConfig, MAX_THREADS};
 use crate::pipeline::driver::Driver;
 use crate::pipeline::event::RunObserver;
 use crate::pipeline::RunResult;
-use fastft_runtime::Runtime;
-use fastft_tabular::{Dataset, FastFtResult};
+use fastft_runtime::{Runtime, THREADS_ENV};
+use fastft_tabular::{Dataset, FastFtError, FastFtResult};
 use std::path::Path;
 
 /// A validated configuration bound to one shared worker pool.
@@ -29,12 +29,13 @@ impl Session {
     /// # Errors
     ///
     /// [`fastft_tabular::FastFtError::InvalidConfig`] if the configuration
-    /// fails [`FastFtConfig::validate`].
+    /// fails [`FastFtConfig::validate`], or if `cfg.threads` is 0 and the
+    /// environment resolves to more than [`MAX_THREADS`] lanes (checked
+    /// before any thread is spawned).
     pub fn new(cfg: FastFtConfig) -> FastFtResult<Self> {
         cfg.validate()?;
-        let runtime =
-            if cfg.threads == 0 { Runtime::from_env() } else { Runtime::new(cfg.threads) };
-        Ok(Session { cfg, runtime })
+        let threads = session_threads(cfg.threads, std::env::var(THREADS_ENV).ok().as_deref())?;
+        Ok(Session { cfg, runtime: Runtime::new(threads) })
     }
 
     /// The session's configuration.
@@ -93,5 +94,44 @@ impl Session {
         override_cfg(&mut cfg);
         let session = Session::new(cfg)?;
         Driver::new(&session.cfg, data, &session.runtime).resume(snap, observer)
+    }
+}
+
+/// The lane count of a session with `threads` configured, given the
+/// environment's [`THREADS_ENV`] value `env`: `threads`, or when 0 what
+/// [`Runtime::env_threads`] resolves `env` to, which may not exceed
+/// [`MAX_THREADS`] (the cap [`FastFtConfig::validate`] puts on `threads`).
+fn session_threads(threads: usize, env: Option<&str>) -> FastFtResult<usize> {
+    if threads > 0 {
+        return Ok(threads);
+    }
+    match Runtime::env_threads(env) {
+        n if n > MAX_THREADS => Err(FastFtError::InvalidConfig(format!(
+            "threads = 0 resolves to {n} ({THREADS_ENV} or the CPU count), more than {MAX_THREADS}"
+        ))),
+        n => Ok(n),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn session_threads_caps_the_environment_count() {
+        let too_many = (MAX_THREADS + 1).to_string();
+        assert!(matches!(
+            session_threads(0, Some(&too_many)),
+            Err(FastFtError::InvalidConfig(m)) if m.contains(&too_many)
+        ));
+        assert_eq!(session_threads(0, Some(&MAX_THREADS.to_string())).ok(), Some(MAX_THREADS));
+        assert_eq!(session_threads(0, Some(" 4 ")).ok(), Some(4));
+        // A configured count wins over the environment.
+        assert_eq!(session_threads(3, Some(&too_many)).ok(), Some(3));
+        // Unset or invalid falls back to the hardware count, capped alike.
+        let hardware = Some(Runtime::env_threads(None)).filter(|&n| n <= MAX_THREADS);
+        for env in [None, Some("0"), Some("many")] {
+            assert_eq!(session_threads(0, env).ok(), hardware);
+        }
     }
 }

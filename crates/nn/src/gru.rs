@@ -38,7 +38,14 @@ impl Cell for GruCell {
         [wx, wh, Tensor::zeros(1, 3 * hidden)]
     }
 
-    fn forward_step(wh: &Matrix, zx: &mut [f64], zh: &mut [f64], hs: &mut [f64], _cs: &mut [f64]) {
+    fn forward_step(
+        wh: &Matrix,
+        zx: &mut [f64],
+        zh: &mut [f64],
+        hs: &mut [f64],
+        _cs: &mut [f64],
+        _tc: &mut [f64],
+    ) {
         let h = wh.rows;
         let g = 3 * h;
         let batch = hs.len() / h;

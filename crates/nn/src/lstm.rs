@@ -4,6 +4,9 @@
 //! Gate layout inside the fused weights is `[i | f | g | o]` (input,
 //! forget, candidate, output). Each step accumulates `h_prev Wh` straight
 //! into the projected `Z` rows and carries the cell state `c` beside `h`.
+//! On the training path the step also keeps `tanh(c_t)`, which it computes
+//! for `h_t` anyway, in the layer's cache, so the backward pass reads it
+//! instead of calling `tanh` again (the same value, so the same bits).
 
 use crate::activation::sigmoid;
 use crate::init;
@@ -25,8 +28,8 @@ impl Cell for LstmCell {
     const GATES: usize = 4;
     const HAS_C: bool = true;
     const SEPARATE_ZH: bool = false;
-    // Gates 4H + cell H + hidden H.
-    const ACTIVATIONS: usize = 6;
+    // Gates 4H + cell H + tanh(cell) H + hidden H.
+    const ACTIVATIONS: usize = 7;
 
     /// Xavier initialisation with forget-gate bias 1 (standard trick for
     /// gradient flow on short sequences).
@@ -40,7 +43,14 @@ impl Cell for LstmCell {
         [wx, wh, b]
     }
 
-    fn forward_step(wh: &Matrix, z: &mut [f64], _zh: &mut [f64], hs: &mut [f64], cs: &mut [f64]) {
+    fn forward_step(
+        wh: &Matrix,
+        z: &mut [f64],
+        _zh: &mut [f64],
+        hs: &mut [f64],
+        cs: &mut [f64],
+        tcs: &mut [f64],
+    ) {
         let h = wh.rows;
         let g = 4 * h;
         let batch = hs.len() / h;
@@ -60,7 +70,11 @@ impl Cell for LstmCell {
                 zr[3 * h + j] = o;
                 let c = f * cp[j] + i * gg;
                 cp[j] = c;
-                hp[j] = o * c.tanh();
+                let tc = c.tanh();
+                hp[j] = o * tc;
+                if let Some(slot) = tcs.get_mut(bi * h + j) {
+                    *slot = tc;
+                }
             }
         }
     }
@@ -76,13 +90,14 @@ impl Cell for LstmCell {
         let h = dh_next.len();
         let gates = cache.gates.row(t);
         let cells = &cache.extra;
+        let tanh_c = cache.tanh_c.row(t);
         for j in 0..h {
             let dh = dh_next[j];
             let i = gates[j];
             let f = gates[h + j];
             let gg = gates[2 * h + j];
             let o = gates[3 * h + j];
-            let tc = cells[(t, j)].tanh();
+            let tc = tanh_c[j];
             let d_o = dh * tc;
             let dc = dh * o * (1.0 - tc * tc) + dc_next[j];
             let d_i = dc * gg;

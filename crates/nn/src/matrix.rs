@@ -14,6 +14,14 @@
 //! wants `Iterator::sum`'s bits seeds `out` with `-0.0`, the value that
 //! sum starts from (the additive identity, so `-0.0 + x` is `x` for every
 //! `x`, zeros of either sign included).
+//!
+//! The kernel body is compiled twice: once for the build's baseline target
+//! (SSE2 on x86-64: two `f64` lanes) and once inside a
+//! `#[target_feature(enable = "avx2")]` function (four lanes). `accumulate`
+//! picks the AVX2 build when the CPU reports AVX2 at run time. Both builds
+//! run the same source, and since Rust never contracts `a * b + c` into a
+//! fused multiply-add (and `fma` is not enabled), only the vector width
+//! differs: every element's sum, and so every result bit, is the same.
 
 use std::ops::{Index, IndexMut};
 
@@ -22,16 +30,44 @@ const STRIP: usize = 16;
 
 /// `out[i][j] += Σ_k A(i, k) · b[k][j]`: `b` is row-major with `n`
 /// columns and `b.len() / n` rows (the reduction depth), `out` is
-/// row-major with `n` columns, and `A(i, k) = a[i·a_row + k·a_k]`, so
-/// `(a_row, a_k) = (depth, 1)` reads `a` row-major and `(1, rows)` reads it
-/// transposed (each strided row of `A` is gathered into a contiguous
-/// buffer first). Each output element adds its terms in ascending `k`,
-/// starting from its value in `out` (see the module docs).
+/// row-major with `n` columns, and `A(i, k) = a[i·a_row + k·a_k]` for
+/// `strides = (a_row, a_k)`, so `(depth, 1)` reads `a` row-major and
+/// `(1, rows)` reads it transposed (each strided row of `A` is gathered
+/// into a contiguous buffer first). Each output element adds its terms in
+/// ascending `k`, starting from its value in `out` (see the module docs).
+///
+/// Runs [`accumulate_portable`] compiled for AVX2 when the CPU has it (see
+/// the module docs), else the portable build of the same body.
 ///
 /// # Panics
 /// Panics if `b` or `out` is not a whole number of `n`-wide rows, or if `a`
 /// is too short for the strides.
-pub(crate) fn accumulate(
+pub(crate) fn accumulate(a: &[f64], strides: (usize, usize), b: &[f64], n: usize, out: &mut [f64]) {
+    #[cfg(target_arch = "x86_64")]
+    if std::arch::is_x86_feature_detected!("avx2") {
+        // SAFETY: `accumulate_avx2` only requires the CPU to support AVX2,
+        // which was detected at run time just above.
+        return unsafe { accumulate_avx2(a, strides, b, n, out) };
+    }
+    accumulate_portable(a, strides, b, n, out)
+}
+
+/// The body of [`accumulate`] compiled with AVX2 enabled: the same source,
+/// with 4-lane vectors. Only `avx2`, not `fma`; Rust never fuses `a * b + c`
+/// on its own, so the bits are those of the portable build.
+///
+/// # Safety
+/// The CPU must support AVX2.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn accumulate_avx2(a: &[f64], strides: (usize, usize), b: &[f64], n: usize, out: &mut [f64]) {
+    accumulate_portable(a, strides, b, n, out)
+}
+
+/// The portable body of [`accumulate`], inlined into each caller so that
+/// every build of it takes the caller's target features.
+#[inline(always)]
+fn accumulate_portable(
     a: &[f64],
     (a_row, a_k): (usize, usize),
     b: &[f64],
@@ -62,6 +98,7 @@ pub(crate) fn accumulate(
 
 /// One output row of `accumulate`: `o_row[j] += Σ_k a[k] · b[k][j]`,
 /// one `STRIP`-wide strip at a time, then the narrower tail.
+#[inline(always)]
 fn accumulate_row(a: &[f64], b: &[f64], n: usize, o_row: &mut [f64]) {
     let (strips, tail) = o_row.as_chunks_mut::<STRIP>();
     for (s, o) in strips.iter_mut().enumerate() {
@@ -508,6 +545,60 @@ mod tests {
                         .map(|(i, j)| w.row(j).iter().zip(a.row(i)).map(|(w, a)| w * a).sum())
                         .collect();
                     assert_bits(&got, &want, &format!("transposed product {what}"));
+                }
+            }
+        }
+    }
+
+    /// The dispatched entry (the AVX2 build where the CPU has it) against
+    /// the portable body, on the shape grid above, with non-finite inputs
+    /// and `-0.0` seeds. Without AVX2 both calls run the portable body.
+    #[test]
+    fn dispatched_kernel_matches_portable_body_bitwise() {
+        // Equal bits, except that a NaN matches any NaN: Rust does not pin
+        // which operand's payload an arithmetic NaN carries.
+        let same = |x: &f64, y: &f64| x.to_bits() == y.to_bits() || (x.is_nan() && y.is_nan());
+        let poison = |v: &mut [f64], seed: usize| {
+            for (i, x) in v.iter_mut().enumerate() {
+                match (i * 7 + seed) % 29 {
+                    0 => *x = f64::NAN,
+                    1 => *x = f64::INFINITY,
+                    2 => *x = f64::NEG_INFINITY,
+                    3 => *x = -0.0,
+                    4 => *x = 0.0,
+                    _ => {}
+                }
+            }
+        };
+        for n in [1, 5, 15, 16, 17, 33, 128] {
+            for rows in [1, 3, 100] {
+                for depth in [1, 9, 40] {
+                    let seed = (n * 1000 + rows * 10 + depth) as u64;
+                    for poisoned in [false, true] {
+                        let mut a = spread(rows * depth, seed + 2);
+                        let mut b = spread(depth * n, seed);
+                        let mut init = spread(rows * n, seed + 1);
+                        if poisoned {
+                            poison(&mut a, 1);
+                            poison(&mut b, 2);
+                            poison(&mut init, 3);
+                        }
+                        let seeds = [init, vec![-0.0; rows * n]];
+                        // Row-major and transposed reads of `a`.
+                        for strides in [(depth, 1), (1, rows)] {
+                            for (s, seed_out) in seeds.iter().enumerate() {
+                                let mut got = seed_out.clone();
+                                accumulate(&a, strides, &b, n, &mut got);
+                                let mut want = seed_out.clone();
+                                accumulate_portable(&a, strides, &b, n, &mut want);
+                                assert!(
+                                    got.iter().zip(&want).all(|(g, w)| same(g, w)),
+                                    "n {n}, rows {rows}, depth {depth}, poisoned {poisoned}, \
+                                     strides {strides:?}, seed {s}"
+                                );
+                            }
+                        }
+                    }
                 }
             }
         }

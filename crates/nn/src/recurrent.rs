@@ -52,8 +52,10 @@ mod cell {
         /// apart from `Z` (GRU): the cell then gets a `Zh` scratch, its last
         /// gate block is cached per step, and a separate `dZh` feeds `dWh`.
         const SEPARATE_ZH: bool;
-        /// `f64`s per hidden unit that one training step keeps, as counted
-        /// by `SequenceRegressor::activation_bytes`.
+        /// `f64`s per hidden unit and token that one training forward keeps
+        /// in its [`Cache`] beside the input `x` (which the layer below, or
+        /// the embedding, already counts), as counted by
+        /// `SequenceRegressor::activation_bytes`.
         const ACTIVATIONS: usize;
 
         /// `[wx, wh, b]` of a fresh layer, drawn from `rng` in the cell's
@@ -64,8 +66,17 @@ mod cell {
         /// this step's `b ⊕ x Wx` and is left holding the activated gates;
         /// `h` (`batch × hidden`) goes from `h_{t-1}` to `h_t`, and so does
         /// `c` if `HAS_C` (else empty). `zh` is the `Zh` scratch if
-        /// `SEPARATE_ZH` (else empty).
-        fn forward_step(wh: &Matrix, z: &mut [f64], zh: &mut [f64], h: &mut [f64], c: &mut [f64]);
+        /// `SEPARATE_ZH` (else empty). `tc` is empty except on the training
+        /// path of a `HAS_C` cell, where it receives `tanh(c_t)` for the
+        /// backward pass.
+        fn forward_step(
+            wh: &Matrix,
+            z: &mut [f64],
+            zh: &mut [f64],
+            h: &mut [f64],
+            c: &mut [f64],
+            tc: &mut [f64],
+        );
 
         /// Back-propagate timestep `t` up to the recurrent product: `dh`
         /// holds the total gradient of `h_t` and is left holding the part of
@@ -94,6 +105,8 @@ mod cell {
         /// `T × hidden`: `c_t` if `HAS_C`, the last gate block of `Zh` if
         /// `SEPARATE_ZH`, else `T × 0`.
         pub extra: Matrix,
+        /// `T × hidden` `tanh(c_t)` if `HAS_C`, else `T × 0`.
+        pub tanh_c: Matrix,
         /// `T × hidden` hidden states.
         pub hiddens: Matrix,
     }
@@ -195,9 +208,11 @@ impl<C: Cell> RecurrentLayer<C> {
         let mut out = ws.take_matrix(rows, h);
         let extra_cols = if C::HAS_C || C::SEPARATE_ZH { h } else { 0 };
         let mut extra = keep.then(|| ws.take_matrix(t_len, extra_cols));
+        let mut tanh_c = keep.then(|| ws.take_matrix(t_len, if C::HAS_C { h } else { 0 }));
         for t in 0..t_len {
             let z_rows = &mut z.data[t * batch * g..(t + 1) * batch * g];
-            C::forward_step(&self.wh.value, z_rows, &mut zh, &mut h_prev, &mut c_prev);
+            let tc = tanh_c.as_mut().map_or(&mut [][..], |m| m.row_mut(t));
+            C::forward_step(&self.wh.value, z_rows, &mut zh, &mut h_prev, &mut c_prev, tc);
             out.data[t * batch * h..(t + 1) * batch * h].copy_from_slice(&h_prev);
             // keep ⇒ batch == 1, so these are the one lane's rows.
             if let Some(extra) = extra.as_mut().filter(|e| e.cols > 0) {
@@ -214,12 +229,12 @@ impl<C: Cell> RecurrentLayer<C> {
         ws.give(h_prev);
         ws.give(c_prev);
         ws.give(zh);
-        let cache = if let Some(extra) = extra {
+        let cache = if let (Some(extra), Some(tanh_c)) = (extra, tanh_c) {
             // Cache snapshots come from the pool too, so repeated train steps
             // recycle the same buffers instead of growing the pool.
             let xc = ws.take_copy(x);
             let hc = ws.take_copy(&out);
-            Some(Cache { x: xc, gates: z, extra, hiddens: hc })
+            Some(Cache { x: xc, gates: z, extra, tanh_c, hiddens: hc })
         } else {
             ws.give_matrix(z);
             None
@@ -289,7 +304,8 @@ impl<C: Cell> RecurrentLayer<C> {
         let mut dx = ws.take_matrix(t_len, cache.x.cols);
         dx.data.fill(-0.0);
         wx_t.addmm_into(&dz_all.data, t_len, &mut dx.data);
-        for m in [wx_t, dz_all, dzh_all, cache.x, cache.gates, cache.extra, cache.hiddens] {
+        let Cache { x, gates, extra, tanh_c, hiddens } = cache;
+        for m in [wx_t, dz_all, dzh_all, x, gates, extra, tanh_c, hiddens] {
             ws.give_matrix(m);
         }
         dx
@@ -436,5 +452,41 @@ impl<C: Cell> Recurrent<C> {
     /// `f64`s one layer keeps per token on the training path.
     pub(crate) fn token_activations(&self) -> usize {
         C::ACTIVATIONS * self.hidden()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::gru::GruCell;
+    use crate::init;
+    use crate::lstm::LstmCell;
+    use crate::rnn::RnnCell;
+
+    /// `f64`s per token that one training forward keeps in a layer's
+    /// [`Cache`], beside the input copy `x`, and the layer's hidden size.
+    fn kept_per_token<C: Cell>() -> (usize, usize) {
+        let (t_len, in_dim, hidden) = (6, 3, 5);
+        let mut layer = RecurrentLayer::<C>::new(in_dim, hidden, &mut init::rng(1));
+        let x =
+            Matrix::from_vec(t_len, in_dim, (0..t_len * in_dim).map(|i| i as f64 / 9.0).collect());
+        layer.forward(&x);
+        // Exhaustive, so a new cache buffer must be counted here too.
+        let Cache { x, gates, extra, tanh_c, hiddens } = layer.cache.take().expect("cache");
+        assert_eq!((x.rows, x.cols), (t_len, in_dim));
+        let kept = [gates, extra, tanh_c, hiddens].iter().map(|m| m.data.len()).sum::<usize>();
+        assert_eq!(kept % t_len, 0);
+        (kept / t_len, hidden)
+    }
+
+    #[test]
+    fn activations_match_the_buffers_a_training_forward_keeps() {
+        for (name, (kept, hidden), activations) in [
+            ("lstm", kept_per_token::<LstmCell>(), LstmCell::ACTIVATIONS),
+            ("gru", kept_per_token::<GruCell>(), GruCell::ACTIVATIONS),
+            ("rnn", kept_per_token::<RnnCell>(), RnnCell::ACTIVATIONS),
+        ] {
+            assert_eq!(activations * hidden, kept, "{name}");
+        }
     }
 }

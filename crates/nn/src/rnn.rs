@@ -21,8 +21,8 @@ impl Cell for RnnCell {
     const GATES: usize = 1;
     const HAS_C: bool = false;
     const SEPARATE_ZH: bool = false;
-    // The hidden state (the activated gate block is the same values).
-    const ACTIVATIONS: usize = 1;
+    // The activated gate block H + hidden H (the same values, kept twice).
+    const ACTIVATIONS: usize = 2;
 
     /// Xavier input weights; orthogonal recurrent weights keep vanilla RNNs
     /// stable.
@@ -32,7 +32,14 @@ impl Cell for RnnCell {
         [wx, wh, Tensor::zeros(1, hidden)]
     }
 
-    fn forward_step(wh: &Matrix, z: &mut [f64], _zh: &mut [f64], hs: &mut [f64], _cs: &mut [f64]) {
+    fn forward_step(
+        wh: &Matrix,
+        z: &mut [f64],
+        _zh: &mut [f64],
+        hs: &mut [f64],
+        _cs: &mut [f64],
+        _tc: &mut [f64],
+    ) {
         wh.addmm_into(hs, hs.len() / wh.rows, z);
         for zv in z.iter_mut() {
             *zv = zv.tanh();

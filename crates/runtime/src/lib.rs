@@ -42,6 +42,9 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 
+/// The environment variable [`Runtime::from_env`] reads its lane count from.
+pub const THREADS_ENV: &str = "FASTFT_THREADS";
+
 /// A unit of work queued on the pool.
 type Job = Box<dyn FnOnce() + Send + 'static>;
 
@@ -160,15 +163,20 @@ impl Runtime {
         Runtime { shared, workers, threads }
     }
 
-    /// A pool sized from the `FASTFT_THREADS` environment variable, falling
+    /// A pool sized from the [`THREADS_ENV`] environment variable, falling
     /// back to [`std::thread::available_parallelism`] when unset or invalid.
     pub fn from_env() -> Self {
-        let threads = std::env::var("FASTFT_THREADS")
-            .ok()
-            .and_then(|s| s.trim().parse::<usize>().ok())
+        Runtime::new(Runtime::env_threads(std::env::var(THREADS_ENV).ok().as_deref()))
+    }
+
+    /// The lane count [`Runtime::from_env`] resolves a [`THREADS_ENV`]
+    /// value (`None` if unset) to: the value if it parses as a positive
+    /// integer, else [`std::thread::available_parallelism`]. Spawns nothing,
+    /// so a caller can bound the count before building the pool.
+    pub fn env_threads(var: Option<&str>) -> usize {
+        var.and_then(|s| s.trim().parse::<usize>().ok())
             .filter(|&n| n > 0)
-            .unwrap_or_else(|| std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1));
-        Runtime::new(threads)
+            .unwrap_or_else(|| std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1))
     }
 
     /// Total execution lanes (submitting thread included). Always ≥ 1.
