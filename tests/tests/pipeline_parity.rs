@@ -15,6 +15,7 @@
 use fastft_core::checkpoint;
 use fastft_core::{FastFt, FastFtConfig, RunResult, StepRecord};
 use fastft_ml::Evaluator;
+use fastft_nn::EncoderKind;
 use fastft_tabular::datagen;
 
 /// FNV-1a over a byte stream, matching the checkpoint fingerprint hash.
@@ -219,4 +220,33 @@ fn session_matches_fastft_fit() {
     let data = golden_data();
     let fit = FastFt::new(golden_cfg()).fit(&data).unwrap();
     assert_eq!(result_hash(&fit), GOLDEN_RESULT_HASH);
+}
+
+// The other three encoders on the same configuration. Only the LSTM run
+// above is pinned through the checkpoint too; these pin each encoder's
+// scoring path (recurrent prefix states for GRU and RNN, the full-sequence
+// forward for the Transformer) through the best score and the step trace.
+const GOLDEN_ENCODER_RUNS: [(EncoderKind, u64, u64); 3] = [
+    (EncoderKind::Gru { layers: 2 }, 0x3fe47d851b84ad0e, 0xc83b055ed0906b86),
+    (EncoderKind::Rnn { layers: 2 }, 0x3fe47d851b84ad0e, 0xdcd25c96f51b30eb),
+    (EncoderKind::Transformer { heads: 2, blocks: 1 }, 0x3fe47d851b84ad0e, 0x72c78104e4f605f8),
+];
+
+#[test]
+fn golden_trace_per_encoder() {
+    for (encoder, best_score, records) in GOLDEN_ENCODER_RUNS {
+        let cfg = FastFtConfig { encoder, ..golden_cfg() };
+        let result = FastFt::new(cfg).fit(&golden_data()).unwrap();
+        if std::env::var("FASTFT_GOLDEN_CAPTURE").is_ok() {
+            println!(
+                "    (EncoderKind::{encoder:?}, {:#018x}, {:#018x}),",
+                result.best_score.to_bits(),
+                records_hash(&result.records)
+            );
+            continue;
+        }
+        assert_eq!(result.records.len(), 16, "{encoder:?}: step count drifted");
+        assert_eq!(result.best_score.to_bits(), best_score, "{encoder:?}: best_score drifted");
+        assert_eq!(records_hash(&result.records), records, "{encoder:?}: step trace drifted");
+    }
 }
