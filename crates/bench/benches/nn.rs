@@ -97,7 +97,6 @@ struct Record {
     seq_len: usize,
     ref_predict_us: f64,
     fused_predict_us: f64,
-    batch_predict_us: f64,
     ref_extend_us: f64,
     cached_extend_us: f64,
     train_step_us: f64,
@@ -108,7 +107,6 @@ fn bench_case(seq_len: usize, reps: usize, out: &mut Vec<Record>) {
     let reference = RefPredictor::new(7);
     let fused = fused_predictor(7);
     let seqs = random_seqs(NSEQ, seq_len, 100 + seq_len as u64);
-    let refs: Vec<&[usize]> = seqs.iter().map(Vec::as_slice).collect();
     let per_seq = |total: f64| total / NSEQ as f64;
 
     // Single-sequence inference, NSEQ sequences per rep.
@@ -124,12 +122,8 @@ fn bench_case(seq_len: usize, reps: usize, out: &mut Vec<Record>) {
             std::hint::black_box(got[0]);
         }
     }));
-    let batch_predict = per_seq(time_us(reps, || {
-        std::hint::black_box(fused.predict_batch(&refs));
-    }));
     println!(
-        "  predict   ref {ref_predict:>9.1} us | fused {fused_predict:>9.1} us \
-         | batch{NSEQ} {batch_predict:>9.1} us | {:.2}x fused",
+        "  predict   ref {ref_predict:>9.1} us | fused {fused_predict:>9.1} us | {:.2}x",
         ref_predict / fused_predict
     );
 
@@ -145,7 +139,7 @@ fn bench_case(seq_len: usize, reps: usize, out: &mut Vec<Record>) {
             std::hint::black_box(reference.predict(&s[..l]));
         }
     }));
-    let mut cache = PrefixCache::new(256);
+    let mut cache = PrefixCache::default();
     let rep_idx = Cell::new(0usize);
     let cached_extend = per_prefix(time_us(reps, || {
         let s = &extend_seqs[rep_idx.get() % extend_seqs.len()];
@@ -174,7 +168,6 @@ fn bench_case(seq_len: usize, reps: usize, out: &mut Vec<Record>) {
         seq_len,
         ref_predict_us: ref_predict,
         fused_predict_us: fused_predict,
-        batch_predict_us: batch_predict,
         ref_extend_us: ref_extend,
         cached_extend_us: cached_extend,
         train_step_us: train_step,
@@ -190,13 +183,12 @@ fn write_json(records: &[Record], quick: bool) {
     for (i, r) in records.iter().enumerate() {
         body.push_str(&format!(
             "    {{\"seq_len\": {}, \"ref_predict_us\": {:.2}, \"fused_predict_us\": {:.2}, \
-             \"batch_predict_us\": {:.2}, \"speedup_predict\": {:.2}, \
+             \"speedup_predict\": {:.2}, \
              \"ref_extend_us\": {:.2}, \"cached_extend_us\": {:.2}, \"speedup_extend\": {:.2}, \
              \"train_step_us\": {:.2}}}{}\n",
             r.seq_len,
             r.ref_predict_us,
             r.fused_predict_us,
-            r.batch_predict_us,
             r.ref_predict_us / r.fused_predict_us,
             r.ref_extend_us,
             r.cached_extend_us,

@@ -49,8 +49,10 @@ pub const MAGIC: [u8; 8] = *b"FFTCKPT1";
 /// sampling policy comes from the configuration); version 5 dropped twelve
 /// 8-byte configuration fields (the batch size of a deleted training path
 /// and eleven settings that became constants) and stores the
-/// evaluator's optional metric with the generic `Option` codec.
-pub const VERSION: u32 = 5;
+/// evaluator's optional metric with the generic `Option` codec; version 6
+/// dropped the configuration's prefix-cache capacity (a constant now) and
+/// the telemetry's scoring-batch counter and batch-size histogram.
+pub const VERSION: u32 = 6;
 
 /// Everything the engine needs to continue a run from an episode boundary.
 #[derive(Debug, Clone)]
@@ -301,7 +303,7 @@ mod tests {
                 cache_hits: 2,
                 eval_faults: 1,
                 quarantined: 1,
-                score_batches: 4,
+                prefix_hits: 4,
                 total_secs: 1.25,
                 ..Telemetry::default()
             },
@@ -348,7 +350,7 @@ mod tests {
         assert_eq!(snap2.quarantine, snap.quarantine);
         assert_eq!(snap2.telemetry.downstream_evals, 9);
         assert_eq!(snap2.telemetry.eval_faults, 1);
-        assert_eq!(snap2.telemetry.score_batches, 4);
+        assert_eq!(snap2.telemetry.prefix_hits, 4);
         assert_eq!(snap2.nov_m2.to_bits(), snap.nov_m2.to_bits());
     }
 

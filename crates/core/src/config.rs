@@ -67,10 +67,6 @@ pub struct FastFtConfig {
     /// least-recently-used entries are evicted past this capacity
     /// (`telemetry.cache_evictions` counts them). `0` disables the cap.
     pub eval_cache_capacity: usize,
-    /// Capacity of the per-network prefix-state caches used by cached
-    /// scoring: recurrent encoder states are memoised per token prefix so a
-    /// suffix-extended sequence only runs the new tokens (`0` disables).
-    pub prefix_cache_capacity: usize,
     /// Master seed.
     pub seed: u64,
     /// Ablation: disable the Performance Predictor (FASTFT⁻ᴾᴾ — every step
@@ -122,7 +118,6 @@ impl Default for FastFtConfig {
             memory_size: 16,
             evaluator: Evaluator::default(),
             eval_cache_capacity: 1024,
-            prefix_cache_capacity: 256,
             seed: 0,
             use_predictor: true,
             use_novelty: true,
@@ -232,9 +227,9 @@ impl FastFtConfig {
 fastft_tabular::persist_struct! {
     FastFtConfig {
         episodes, steps_per_episode, cold_start_episodes, retrain_every, retrain_epochs, alpha,
-        beta, eps_start, eps_end, decay_m, memory_size, evaluator, eval_cache_capacity,
-        prefix_cache_capacity, seed, use_predictor, use_novelty, prioritized_replay, encoder, rl,
-        threads, checkpoint_every, checkpoint_path, max_wall_secs, max_downstream_evals,
+        beta, eps_start, eps_end, decay_m, memory_size, evaluator, eval_cache_capacity, seed,
+        use_predictor, use_novelty, prioritized_replay, encoder, rl, threads, checkpoint_every,
+        checkpoint_path, max_wall_secs, max_downstream_evals,
     }
 }
 
@@ -312,14 +307,6 @@ mod tests {
         assert!(valid!(eval_cache_capacity: 16));
         // 0 disables the cap (unbounded memoisation) and stays valid.
         assert!(valid!(eval_cache_capacity: 0));
-    }
-
-    #[test]
-    fn scoring_knobs() {
-        let c = FastFtConfig::default();
-        assert_eq!(c.prefix_cache_capacity, 256);
-        // `prefix_cache_capacity = 0` is the off switch for cached scoring.
-        assert!(valid!(prefix_cache_capacity: 0));
     }
 
     #[test]

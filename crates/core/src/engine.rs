@@ -292,32 +292,6 @@ mod tests {
     }
 
     #[test]
-    fn prefix_cache_matches_uncached_run() {
-        // `prefix_cache_capacity = 0` turns cached scoring off; the prefix
-        // cache may change wall time, never a result.
-        let data = small_data("pima_indian", 120, 18);
-        let cached = FastFt::new(tiny_cfg()).fit(&data).unwrap();
-        let mut cfg = tiny_cfg();
-        cfg.prefix_cache_capacity = 0;
-        let uncached = FastFt::new(cfg).fit(&data).unwrap();
-        assert_eq!(cached.best_score.to_bits(), uncached.best_score.to_bits());
-        assert_eq!(cached.records.len(), uncached.records.len());
-        let bits =
-            |r: &StepRecord| [r.reward, r.score, r.novelty, r.novelty_distance].map(f64::to_bits);
-        for (a, b) in cached.records.iter().zip(&uncached.records) {
-            assert_eq!(a, b);
-            assert_eq!(bits(a), bits(b), "step {}.{}", a.episode, a.step);
-        }
-        assert_eq!(cached.telemetry.downstream_evals, uncached.telemetry.downstream_evals);
-        let (c, u) = (cached.telemetry, uncached.telemetry);
-        assert!(c.prefix_hits > 0, "suffix-extended sequences should hit the cache");
-        assert_eq!(u.prefix_hits + u.prefix_misses, 0, "a disabled cache counts nothing");
-        assert!(c.score_batches > 0, "warm steps should batch");
-        assert_eq!(c.score_batches, u.score_batches);
-        assert_eq!(c.batch_size_hist.iter().sum::<u64>(), c.score_batches);
-    }
-
-    #[test]
     fn telemetry_times_are_consistent() {
         let data = small_data("pima_indian", 120, 4);
         let result = FastFt::new(tiny_cfg()).fit(&data).unwrap();
@@ -456,8 +430,6 @@ mod tests {
         assert_eq!(t.prefix_hits, r.telemetry.prefix_hits);
         assert_eq!(t.prefix_misses, r.telemetry.prefix_misses);
         assert_eq!(t.prefix_evictions, r.telemetry.prefix_evictions);
-        assert_eq!(t.score_batches, r.telemetry.score_batches);
-        assert_eq!(t.batch_size_hist, r.telemetry.batch_size_hist);
         assert_eq!(collector.steps(), r.records.len());
         assert_eq!(collector.episodes(), cfg.episodes);
         assert_eq!(collector.checkpoints(), 0);

@@ -42,8 +42,8 @@ impl NoveltyEstimator {
         NoveltyEstimator {
             estimator,
             target,
-            est_cache: PrefixCache::new(cfg.prefix_cache),
-            tgt_cache: PrefixCache::new(cfg.prefix_cache),
+            est_cache: PrefixCache::default(),
+            tgt_cache: PrefixCache::default(),
         }
     }
 
@@ -81,7 +81,7 @@ impl NoveltyEstimator {
         loss
     }
 
-    /// Prefix-cache / batching counters, merged across both networks.
+    /// Prefix-cache counters, merged across both networks.
     pub fn stats(&self) -> ScoreStats {
         self.est_cache.stats().merge(&self.tgt_cache.stats())
     }

@@ -50,7 +50,7 @@ pub enum RunEvent<'a> {
     PredictorCalled {
         /// Number of inference calls issued.
         calls: usize,
-        /// Prefix-cache and batching counters these calls added.
+        /// Prefix-cache counters these calls added.
         scoring: ScoreStats,
     },
     /// A step finished; `record` is its full trace.

@@ -44,7 +44,6 @@ pub use stages::{
 };
 
 use crate::expr::Expr;
-use crate::scoring::BATCH_HIST_BUCKETS;
 use fastft_tabular::Dataset;
 
 /// Per-step trace of a run (Figs. 14–15, debugging, case studies).
@@ -116,13 +115,8 @@ pub struct Telemetry {
     /// Scoring calls that encoded their sequence from scratch.
     pub prefix_misses: u64,
     /// Prefix-cache states evicted to respect
-    /// [`FastFtConfig::prefix_cache_capacity`](crate::FastFtConfig::prefix_cache_capacity).
+    /// [`PREFIX_CACHE_CAPACITY`](crate::scoring::PREFIX_CACHE_CAPACITY).
     pub prefix_evictions: u64,
-    /// Batched scoring calls issued by the step loop.
-    pub score_batches: u64,
-    /// Histogram of scoring batch sizes (bucket `i` = size `i + 1`, last
-    /// bucket = `≥ 8`).
-    pub batch_size_hist: [u64; BATCH_HIST_BUCKETS],
     /// Downstream evaluations that faulted — panicked, returned a typed
     /// evaluation error, or produced a non-finite score — counting retries.
     pub eval_faults: usize,
@@ -167,10 +161,6 @@ impl Telemetry {
         self.prefix_hits += scoring.prefix_hits;
         self.prefix_misses += scoring.prefix_misses;
         self.prefix_evictions += scoring.evictions;
-        self.score_batches += scoring.batches;
-        for (h, n) in self.batch_size_hist.iter_mut().zip(&scoring.batch_hist) {
-            *h += n;
-        }
     }
 }
 
@@ -178,8 +168,7 @@ fastft_tabular::persist_struct! {
     Telemetry {
         optimization_secs, estimation_secs, evaluation_secs, total_secs, downstream_evals,
         predictor_calls, cache_hits, cache_evictions, predictor_secs, novelty_secs, prefix_hits,
-        prefix_misses, prefix_evictions, score_batches, batch_size_hist, eval_faults, quarantined,
-        weight_rollbacks,
+        prefix_misses, prefix_evictions, eval_faults, quarantined, weight_rollbacks,
     }
 }
 

@@ -108,7 +108,6 @@ impl SearchState {
         let pc = PredictorConfig {
             dim: COMPONENT_DIM,
             encoder: cfg.encoder,
-            prefix_cache: cfg.prefix_cache_capacity,
             ..PredictorConfig::default()
         };
         SearchState {
@@ -138,7 +137,7 @@ impl SearchState {
         }
     }
 
-    /// Prefix-cache and batching counters of the live component caches,
+    /// Prefix-cache counters of the live component caches,
     /// cumulative since they were built. Events carry differences of these.
     pub(crate) fn score_stats(&self) -> ScoreStats {
         self.predictor.stats().merge(&self.novelty.stats())

@@ -459,13 +459,12 @@ impl RewardModel for AdaptiveRewardModel {
             }
             Scored { v, reward: r, predicted, novelty: nov }
         } else {
-            // Batched, prefix-cached scoring is bitwise identical to
-            // per-sequence prediction (`nn_parity`); it only saves time.
+            // Prefix-cached scoring is bitwise identical to plain prediction
+            // (`nn_parity`); it only saves time.
             let before = cx.state.score_stats();
             let t_pred = Instant::now();
-            let mut out = [0.0; 2];
-            cx.state.predictor.predict_batch(&[input.seq, input.prev_seq], &mut out);
-            let [pred, pred_prev] = out;
+            let pred = cx.state.predictor.predict_cached(input.seq);
+            let pred_prev = cx.state.predictor.predict_cached(input.prev_seq);
             let pred_elapsed = t_pred.elapsed().as_secs_f64();
             cx.state.telemetry.predictor_secs += pred_elapsed;
             let t_nov = Instant::now();

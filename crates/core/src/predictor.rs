@@ -18,18 +18,11 @@ pub struct PredictorConfig {
     pub encoder: EncoderKind,
     /// Adam learning rate.
     pub lr: f64,
-    /// Prefix-state cache capacity for cached scoring (0 = disabled).
-    pub prefix_cache: usize,
 }
 
 impl Default for PredictorConfig {
     fn default() -> Self {
-        PredictorConfig {
-            dim: 32,
-            encoder: EncoderKind::Lstm { layers: 2 },
-            lr: 1e-3,
-            prefix_cache: 256,
-        }
+        PredictorConfig { dim: 32, encoder: EncoderKind::Lstm { layers: 2 }, lr: 1e-3 }
     }
 }
 
@@ -46,7 +39,7 @@ impl PerformancePredictor {
         // FC head 16 → 1 per the paper.
         let net =
             SequenceRegressor::new(vocab, cfg.dim, cfg.dim, cfg.encoder, &[16, 1], cfg.lr, seed);
-        PerformancePredictor { net, cache: PrefixCache::new(cfg.prefix_cache) }
+        PerformancePredictor { net, cache: PrefixCache::default() }
     }
 
     /// Predicted downstream performance ("pseudo-performance") of a token
@@ -67,12 +60,6 @@ impl PerformancePredictor {
         out[0]
     }
 
-    /// Score several sequences in one call (`out[i]` ← prediction for
-    /// `seqs[i]`), through the prefix cache when enabled.
-    pub fn predict_batch(&mut self, seqs: &[&[usize]], out: &mut [f64]) {
-        self.cache.score_batch_into(&self.net, seqs, out);
-    }
-
     /// One MSE training step toward an observed performance; returns the
     /// pre-update loss (Eq. 3 summand).
     pub fn train_step(&mut self, seq: &[usize], performance: f64) -> f64 {
@@ -82,7 +69,7 @@ impl PerformancePredictor {
         loss
     }
 
-    /// Prefix-cache / batching counters.
+    /// Prefix-cache counters.
     pub fn stats(&self) -> ScoreStats {
         self.cache.stats()
     }

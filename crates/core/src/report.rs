@@ -37,10 +37,9 @@ pub fn summary(result: &RunResult) -> String {
     );
     let _ = writeln!(
         s,
-        "scoring    : {:.2}s predictor + {:.2}s novelty; {} batches, prefix cache {} hits / {} misses / {} evictions",
+        "scoring    : {:.2}s predictor + {:.2}s novelty; prefix cache {} hits / {} misses / {} evictions",
         t.predictor_secs,
         t.novelty_secs,
-        t.score_batches,
         t.prefix_hits,
         t.prefix_misses,
         t.prefix_evictions
@@ -51,20 +50,6 @@ pub fn summary(result: &RunResult) -> String {
             "faults     : {} eval faults, {} candidates quarantined, {} weight rollbacks",
             t.eval_faults, t.quarantined, t.weight_rollbacks
         );
-    }
-    if t.score_batches > 0 {
-        let _ = write!(s, "batch sizes:");
-        for (i, n) in t.batch_size_hist.iter().enumerate() {
-            if *n > 0 {
-                let label = if i + 1 == t.batch_size_hist.len() {
-                    format!("≥{}", i + 1)
-                } else {
-                    format!("{}", i + 1)
-                };
-                let _ = write!(s, " {label}×{n}");
-            }
-        }
-        let _ = writeln!(s);
     }
     let _ = writeln!(s, "feature set:");
     for e in &result.best_exprs {

@@ -65,25 +65,6 @@ impl Embedding {
         }
     }
 
-    /// Embed equally-long sequences time-major into a `(T·lanes) × dim`
-    /// matrix: row `t·lanes + lane` holds timestep `t` of `lane`. This is the
-    /// packing the batched recurrent kernels consume.
-    pub fn infer_batch_into(&self, seqs: &[&[usize]], out: &mut Matrix) {
-        let lanes = seqs.len();
-        assert!(lanes > 0, "empty batch");
-        let t_len = seqs[0].len();
-        for s in seqs {
-            assert_eq!(s.len(), t_len, "lanes must share one length per bucket");
-        }
-        assert_eq!((out.rows, out.cols), (t_len * lanes, self.dim()), "infer_batch_into shape");
-        for (lane, seq) in seqs.iter().enumerate() {
-            for (t, &tok) in seq.iter().enumerate() {
-                assert!(tok < self.vocab(), "token {tok} out of vocab {}", self.vocab());
-                out.row_mut(t * lanes + lane).copy_from_slice(self.table.value.row(tok));
-            }
-        }
-    }
-
     /// Scatter-add the upstream gradient onto the used table rows.
     pub fn backward(&mut self, d_out: &Matrix) {
         assert_eq!(d_out.rows, self.cache_tokens.len(), "backward before forward");
@@ -138,19 +119,6 @@ mod tests {
         let mut out = Matrix::zeros(4, 3);
         e.infer_into(&tokens, &mut out);
         assert_eq!(out, e.infer(&tokens));
-    }
-
-    #[test]
-    fn infer_batch_into_packs_time_major() {
-        let e = Embedding::new(5, 3, &mut init::rng(5));
-        let a = [1usize, 2, 3];
-        let b = [4usize, 0, 1];
-        let mut out = Matrix::zeros(6, 3);
-        e.infer_batch_into(&[&a, &b], &mut out);
-        for t in 0..3 {
-            assert_eq!(out.row(t * 2), e.table.value.row(a[t]));
-            assert_eq!(out.row(t * 2 + 1), e.table.value.row(b[t]));
-        }
     }
 
     #[test]

@@ -28,6 +28,7 @@ impl Cell for GruCell {
     const GATES: usize = 3;
     const HAS_C: bool = false;
     const SEPARATE_ZH: bool = true;
+    const GATES_ARE_HIDDENS: bool = false;
     // Gates 3H + candidate linear H + hidden H.
     const ACTIVATIONS: usize = 5;
 
@@ -47,25 +48,18 @@ impl Cell for GruCell {
         _tc: &mut [f64],
     ) {
         let h = wh.rows;
-        let g = 3 * h;
-        let batch = hs.len() / h;
-        // Recurrent GEMM for this step's lanes: Zh = h_prev Wh.
-        zh.iter_mut().for_each(|v| *v = 0.0);
-        wh.addmm_into(hs, batch, zh);
-        for bi in 0..batch {
-            let zxr = &mut zx[bi * g..(bi + 1) * g];
-            let zhr = &zh[bi * g..(bi + 1) * g];
-            let hp = &mut hs[bi * h..(bi + 1) * h];
-            for j in 0..h {
-                let r = sigmoid(zxr[j] + zhr[j]);
-                let z = sigmoid(zxr[h + j] + zhr[h + j]);
-                let hn_lin = zhr[2 * h + j];
-                let n = (zxr[2 * h + j] + r * hn_lin).tanh();
-                zxr[j] = r;
-                zxr[h + j] = z;
-                zxr[2 * h + j] = n;
-                hp[j] = (1.0 - z) * n + z * hp[j];
-            }
+        // Recurrent GEMM for this step: Zh = h_prev Wh.
+        zh.fill(0.0);
+        wh.addmm_into(hs, 1, zh);
+        for j in 0..h {
+            let r = sigmoid(zx[j] + zh[j]);
+            let z = sigmoid(zx[h + j] + zh[h + j]);
+            let hn_lin = zh[2 * h + j];
+            let n = (zx[2 * h + j] + r * hn_lin).tanh();
+            zx[j] = r;
+            zx[h + j] = z;
+            zx[2 * h + j] = n;
+            hs[j] = (1.0 - z) * n + z * hs[j];
         }
     }
 
@@ -110,7 +104,7 @@ impl Cell for GruCell {
     }
 }
 
-// The tests below resume and batch through these.
+// The tests below resume through these.
 #[cfg(test)]
 use crate::workspace::{LayerState, NnWorkspace};
 
@@ -145,13 +139,12 @@ mod tests {
         let g = Gru::new(3, 4, 2, &mut init::rng(13));
         let x = seq(6, 3, 14);
         let mut ws = NnWorkspace::new();
-        let full = g.infer_batch(&x, 1, None, None, &mut ws);
+        let full = g.infer_ws(&x, None, None, &mut ws);
         let prefix = Matrix::from_vec(4, 3, x.data[..12].to_vec());
-        let mut states = Vec::new();
-        let _ = g.infer_batch(&prefix, 1, None, Some(&mut states), &mut ws);
+        let mut states: Vec<LayerState> = Vec::new();
+        let _ = g.infer_ws(&prefix, None, Some(&mut states), &mut ws);
         let tail = Matrix::from_vec(2, 3, x.data[12..].to_vec());
-        let init: Vec<&[LayerState]> = vec![&states[0]];
-        let resumed = g.infer_batch(&tail, 1, Some(&init), None, &mut ws);
+        let resumed = g.infer_ws(&tail, Some(&states), None, &mut ws);
         assert_eq!(resumed.row(0), full.row(4));
         assert_eq!(resumed.row(1), full.row(5));
     }

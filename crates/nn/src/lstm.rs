@@ -28,6 +28,7 @@ impl Cell for LstmCell {
     const GATES: usize = 4;
     const HAS_C: bool = true;
     const SEPARATE_ZH: bool = false;
+    const GATES_ARE_HIDDENS: bool = false;
     // Gates 4H + cell H + tanh(cell) H + hidden H.
     const ACTIVATIONS: usize = 7;
 
@@ -52,29 +53,22 @@ impl Cell for LstmCell {
         tcs: &mut [f64],
     ) {
         let h = wh.rows;
-        let g = 4 * h;
-        let batch = hs.len() / h;
-        wh.addmm_into(hs, batch, z);
-        for bi in 0..batch {
-            let zr = &mut z[bi * g..(bi + 1) * g];
-            let hp = &mut hs[bi * h..(bi + 1) * h];
-            let cp = &mut cs[bi * h..(bi + 1) * h];
-            for j in 0..h {
-                let i = sigmoid(zr[j]);
-                let f = sigmoid(zr[h + j]);
-                let gg = zr[2 * h + j].tanh();
-                let o = sigmoid(zr[3 * h + j]);
-                zr[j] = i;
-                zr[h + j] = f;
-                zr[2 * h + j] = gg;
-                zr[3 * h + j] = o;
-                let c = f * cp[j] + i * gg;
-                cp[j] = c;
-                let tc = c.tanh();
-                hp[j] = o * tc;
-                if let Some(slot) = tcs.get_mut(bi * h + j) {
-                    *slot = tc;
-                }
+        wh.addmm_into(hs, 1, z);
+        for j in 0..h {
+            let i = sigmoid(z[j]);
+            let f = sigmoid(z[h + j]);
+            let gg = z[2 * h + j].tanh();
+            let o = sigmoid(z[3 * h + j]);
+            z[j] = i;
+            z[h + j] = f;
+            z[2 * h + j] = gg;
+            z[3 * h + j] = o;
+            let c = f * cs[j] + i * gg;
+            cs[j] = c;
+            let tc = c.tanh();
+            hs[j] = o * tc;
+            if let Some(slot) = tcs.get_mut(j) {
+                *slot = tc;
             }
         }
     }
@@ -136,7 +130,7 @@ impl Lstm {
     }
 }
 
-// The tests below resume and batch through these.
+// The tests below resume through these.
 #[cfg(test)]
 use crate::workspace::{LayerState, NnWorkspace};
 
@@ -180,35 +174,13 @@ mod tests {
         let l = Lstm::new(3, 4, 2, &mut init::rng(13));
         let x = seq(6, 3, 14);
         let mut ws = NnWorkspace::new();
-        let full = l.infer_batch(&x, 1, None, None, &mut ws);
+        let full = l.infer_ws(&x, None, None, &mut ws);
         let prefix = Matrix::from_vec(5, 3, x.data[..15].to_vec());
-        let mut states = Vec::new();
-        let _ = l.infer_batch(&prefix, 1, None, Some(&mut states), &mut ws);
+        let mut states: Vec<LayerState> = Vec::new();
+        let _ = l.infer_ws(&prefix, None, Some(&mut states), &mut ws);
         let last = Matrix::from_vec(1, 3, x.data[15..].to_vec());
-        let init: Vec<&[LayerState]> = vec![&states[0]];
-        let resumed = l.infer_batch(&last, 1, Some(&init), None, &mut ws);
+        let resumed = l.infer_ws(&last, Some(&states), None, &mut ws);
         assert_eq!(resumed.row(0), full.row(5));
-    }
-
-    #[test]
-    fn batched_lanes_match_independent_runs() {
-        let l = Lstm::new(3, 4, 2, &mut init::rng(15));
-        let a = seq(4, 3, 16);
-        let b = seq(4, 3, 17);
-        let mut ws = NnWorkspace::new();
-        // Pack time-major: row t*2 + lane.
-        let mut packed = Matrix::zeros(8, 3);
-        for t in 0..4 {
-            packed.row_mut(t * 2).copy_from_slice(a.row(t));
-            packed.row_mut(t * 2 + 1).copy_from_slice(b.row(t));
-        }
-        let y = l.infer_batch(&packed, 2, None, None, &mut ws);
-        let ya = l.infer(&a);
-        let yb = l.infer(&b);
-        for t in 0..4 {
-            assert_eq!(y.row(t * 2), ya.row(t), "lane 0 t={t}");
-            assert_eq!(y.row(t * 2 + 1), yb.row(t), "lane 1 t={t}");
-        }
     }
 
     #[test]

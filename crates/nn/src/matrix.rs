@@ -253,7 +253,7 @@ impl Matrix {
     /// `out += a @ self` over a flat row-major slice pair: `a` is
     /// `rows × self.rows`, `out` is `rows × self.cols`. Dense accumulate
     /// (no zero-skip) through the `accumulate` kernel, so the fused
-    /// recurrent kernels and the batched/prefix-resumed paths built on them
+    /// recurrent kernels and the prefix-resumed paths built on them
     /// all share one bitwise-deterministic, k-ascending summation order.
     pub fn addmm_into(&self, a: &[f64], rows: usize, out: &mut [f64]) {
         assert_eq!(a.len(), rows * self.rows, "addmm_into lhs shape");

@@ -4,13 +4,13 @@
 //! A cell with `G` gate blocks stores its per-gate weights concatenated
 //! (`wx`: `in_dim × G·hidden`, `wh`: `hidden × G·hidden`). [`RecurrentLayer`]
 //! owns what the cells share: the input projection `Z = b ⊕ X Wx`, hoisted
-//! out of the time loop as one GEMM; time-major batched lanes (row
-//! `t·batch + lane` is timestep `t` of `lane`) with [`LayerState`] resume
-//! and snapshots for the prefix-cached scoring in `fastft-core`; caches and
-//! scratch from a pooled [`NnWorkspace`]; the backward pass's parameter
-//! gradients as whole-sequence GEMMs (`dWx += Xᵀ dZ`,
-//! `dWh += H[..T-1]ᵀ dZh[1..]`, `db += Σ_t dz_t`, `dX = dZ Wxᵀ`); and the
-//! per-step recurrent gradient `dh_{t-1} += dZh_t Whᵀ`.
+//! out of the time loop as one GEMM; the time loop over one sequence, with
+//! [`LayerState`] resume and snapshots for the prefix-cached scoring in
+//! `fastft-core`; caches and scratch from a pooled [`NnWorkspace`]; the
+//! backward pass's parameter gradients as whole-sequence GEMMs
+//! (`dWx += Xᵀ dZ`, `dWh += H[..T-1]ᵀ dZh[1..]`, `db += Σ_t dz_t`,
+//! `dX = dZ Wxᵀ`); and the per-step recurrent gradient
+//! `dh_{t-1} += dZh_t Whᵀ`.
 //! [`Recurrent`] stacks layers. A cell ([`crate::lstm::LstmCell`],
 //! [`crate::gru::GruCell`], [`crate::rnn::RnnCell`]) supplies its gate
 //! count, initialisation and per-timestep gate math, including its own
@@ -52,6 +52,11 @@ mod cell {
         /// apart from `Z` (GRU): the cell then gets a `Zh` scratch, its last
         /// gate block is cached per step, and a separate `dZh` feeds `dWh`.
         const SEPARATE_ZH: bool;
+        /// Whether the activated gates are the hidden state itself (RNN:
+        /// one `tanh` block, `h_t = z_t`). The cache then keeps that one
+        /// `T × hidden` block once, as [`Cache::hiddens`], and
+        /// [`Cache::gates`] is `T × 0`.
+        const GATES_ARE_HIDDENS: bool;
         /// `f64`s per hidden unit and token that one training forward keeps
         /// in its [`Cache`] beside the input `x` (which the layer below, or
         /// the embedding, already counts), as counted by
@@ -62,10 +67,10 @@ mod cell {
         /// own order.
         fn init(in_dim: usize, hidden: usize, rng: &mut StdRng) -> [Tensor; 3];
 
-        /// Advance every lane one timestep. `z` (`batch × G·hidden`) holds
-        /// this step's `b ⊕ x Wx` and is left holding the activated gates;
-        /// `h` (`batch × hidden`) goes from `h_{t-1}` to `h_t`, and so does
-        /// `c` if `HAS_C` (else empty). `zh` is the `Zh` scratch if
+        /// Advance one timestep. `z` (`G·hidden`) holds this step's
+        /// `b ⊕ x Wx` and is left holding the activated gates; `h`
+        /// (`hidden`) goes from `h_{t-1}` to `h_t`, and so does `c` if
+        /// `HAS_C` (else empty). `zh` is the `Zh` scratch if
         /// `SEPARATE_ZH` (else empty). `tc` is empty except on the training
         /// path of a `HAS_C` cell, where it receives `tanh(c_t)` for the
         /// backward pass.
@@ -100,7 +105,7 @@ mod cell {
     pub struct Cache {
         /// `T × in_dim` input.
         pub x: Matrix,
-        /// `T × G·hidden` activated gates.
+        /// `T × G·hidden` activated gates (`T × 0` if `GATES_ARE_HIDDENS`).
         pub gates: Matrix,
         /// `T × hidden`: `c_t` if `HAS_C`, the last gate block of `Zh` if
         /// `SEPARATE_ZH`, else `T × 0`.
@@ -152,7 +157,7 @@ impl<C: Cell> RecurrentLayer<C> {
 
     /// [`RecurrentLayer::forward`] drawing scratch from a shared workspace.
     pub fn forward_ws(&mut self, x: &Matrix, ws: &mut NnWorkspace) -> Matrix {
-        let (out, cache) = self.run(x, 1, None, true, None, ws);
+        let (out, cache) = self.run(x, None, true, None, ws);
         self.cache = cache;
         out
     }
@@ -160,71 +165,55 @@ impl<C: Cell> RecurrentLayer<C> {
     /// Inference-only forward (no cache).
     pub fn infer(&self, x: &Matrix) -> Matrix {
         let mut ws = NnWorkspace::new();
-        self.run(x, 1, None, false, None, &mut ws).0
+        self.run(x, None, false, None, &mut ws).0
     }
 
-    /// Fused forward over a time-major `(T·batch) × in_dim` input. `init`
-    /// resumes each lane from a saved state; each lane's final state is
-    /// pushed onto its `states_out` entry. The training path (`keep`) is
-    /// batch-of-one from t = 0.
+    /// Fused forward over a `T × in_dim` sequence from `init` (the zero
+    /// state if `None`). The final state is pushed onto `state_out` when
+    /// given. The training path (`keep`) starts from t = 0 and returns the
+    /// cache [`RecurrentLayer::backward`] reads.
     fn run(
         &self,
         x: &Matrix,
-        batch: usize,
-        init: Option<&[&LayerState]>,
+        init: Option<&LayerState>,
         keep: bool,
-        states_out: Option<&mut [Vec<LayerState>]>,
+        state_out: Option<&mut Vec<LayerState>>,
         ws: &mut NnWorkspace,
     ) -> (Matrix, Option<Cache>) {
         let h = self.hidden();
         let g = C::GATES * h;
-        let rows = x.rows;
-        assert!(
-            batch >= 1 && rows.is_multiple_of(batch),
-            "rows {rows} not a multiple of batch {batch}"
-        );
-        let t_len = rows / batch;
+        let t_len = x.rows;
         if keep {
-            assert!(batch == 1 && init.is_none(), "training path is batch-of-one from t = 0");
+            assert!(init.is_none(), "training path runs from t = 0");
         }
         // Input projection hoisted over the whole sequence: Z = b ⊕ X Wx.
-        let mut z = ws.take_matrix(rows, g);
-        for r in 0..rows {
+        let mut z = ws.take_matrix(t_len, g);
+        for r in 0..t_len {
             z.row_mut(r).copy_from_slice(&self.b.value.data);
         }
-        self.wx.value.addmm_into(&x.data, rows, &mut z.data);
-        let mut h_prev = ws.take(batch * h);
-        let mut c_prev = ws.take(if C::HAS_C { batch * h } else { 0 });
-        if let Some(states) = init {
-            assert_eq!(states.len(), batch, "one init state per lane");
-            for (bi, st) in states.iter().enumerate() {
-                h_prev[bi * h..(bi + 1) * h].copy_from_slice(&st.h);
-                if C::HAS_C {
-                    c_prev[bi * h..(bi + 1) * h].copy_from_slice(&st.c);
-                }
-            }
+        self.wx.value.addmm_into(&x.data, t_len, &mut z.data);
+        let mut h_prev = ws.take(h);
+        let mut c_prev = ws.take(if C::HAS_C { h } else { 0 });
+        if let Some(state) = init {
+            h_prev.copy_from_slice(&state.h);
+            c_prev.copy_from_slice(&state.c);
         }
-        let mut zh = ws.take(if C::SEPARATE_ZH { batch * g } else { 0 });
-        let mut out = ws.take_matrix(rows, h);
+        let mut zh = ws.take(if C::SEPARATE_ZH { g } else { 0 });
+        let mut out = ws.take_matrix(t_len, h);
         let extra_cols = if C::HAS_C || C::SEPARATE_ZH { h } else { 0 };
         let mut extra = keep.then(|| ws.take_matrix(t_len, extra_cols));
         let mut tanh_c = keep.then(|| ws.take_matrix(t_len, if C::HAS_C { h } else { 0 }));
         for t in 0..t_len {
-            let z_rows = &mut z.data[t * batch * g..(t + 1) * batch * g];
             let tc = tanh_c.as_mut().map_or(&mut [][..], |m| m.row_mut(t));
-            C::forward_step(&self.wh.value, z_rows, &mut zh, &mut h_prev, &mut c_prev, tc);
-            out.data[t * batch * h..(t + 1) * batch * h].copy_from_slice(&h_prev);
-            // keep ⇒ batch == 1, so these are the one lane's rows.
+            C::forward_step(&self.wh.value, z.row_mut(t), &mut zh, &mut h_prev, &mut c_prev, tc);
+            out.row_mut(t).copy_from_slice(&h_prev);
             if let Some(extra) = extra.as_mut().filter(|e| e.cols > 0) {
                 let src = if C::HAS_C { &c_prev[..] } else { &zh[g - h..] };
                 extra.row_mut(t).copy_from_slice(src);
             }
         }
-        if let Some(states) = states_out {
-            for (bi, lane) in states.iter_mut().enumerate() {
-                let c = if C::HAS_C { c_prev[bi * h..(bi + 1) * h].to_vec() } else { Vec::new() };
-                lane.push(LayerState { h: h_prev[bi * h..(bi + 1) * h].to_vec(), c });
-            }
+        if let Some(states) = state_out {
+            states.push(LayerState { h: h_prev.to_vec(), c: c_prev.to_vec() });
         }
         ws.give(h_prev);
         ws.give(c_prev);
@@ -233,8 +222,12 @@ impl<C: Cell> RecurrentLayer<C> {
             // Cache snapshots come from the pool too, so repeated train steps
             // recycle the same buffers instead of growing the pool.
             let xc = ws.take_copy(x);
-            let hc = ws.take_copy(&out);
-            Some(Cache { x: xc, gates: z, extra, tanh_c, hiddens: hc })
+            let (gates, hiddens) = if C::GATES_ARE_HIDDENS {
+                (ws.take_matrix(t_len, 0), z)
+            } else {
+                (z, ws.take_copy(&out))
+            };
+            Some(Cache { x: xc, gates, extra, tanh_c, hiddens })
         } else {
             ws.give_matrix(z);
             None
@@ -380,40 +373,31 @@ impl<C: Cell> Recurrent<C> {
     /// Inference-only forward.
     pub fn infer(&self, x: &Matrix) -> Matrix {
         let mut ws = NnWorkspace::new();
-        self.infer_batch(x, 1, None, None, &mut ws)
+        self.infer_ws(x, None, None, &mut ws)
     }
 
-    /// Batched inference over a time-major `(T·batch) × in_dim` packed input
-    /// (row `t·batch + lane` is timestep `t` of `lane`). `init` optionally
-    /// resumes each lane from per-layer [`LayerState`]s (outer index = lane,
-    /// inner = layer); `states_out`, when present, is filled with each lane's
-    /// final per-layer states so callers can snapshot and later resume.
-    pub fn infer_batch(
+    /// [`Recurrent::infer`] drawing scratch from a shared workspace. `init`
+    /// optionally resumes from saved states (one [`LayerState`] per layer);
+    /// `states_out`, when present, is filled with each layer's final state
+    /// so a caller can snapshot and later resume.
+    pub fn infer_ws(
         &self,
         x: &Matrix,
-        batch: usize,
-        init: Option<&[&[LayerState]]>,
-        mut states_out: Option<&mut Vec<Vec<LayerState>>>,
+        init: Option<&[LayerState]>,
+        mut states_out: Option<&mut Vec<LayerState>>,
         ws: &mut NnWorkspace,
     ) -> Matrix {
-        let n_layers = self.layers.len();
         if let Some(init) = init {
-            assert_eq!(init.len(), batch, "one init lane per batch row");
-            for lane in init {
-                assert_eq!(lane.len(), n_layers, "one init state per layer");
-            }
+            assert_eq!(init.len(), self.layers.len(), "one init state per layer");
         }
         if let Some(states) = states_out.as_deref_mut() {
             states.clear();
-            states.resize_with(batch, || Vec::with_capacity(n_layers));
         }
         let mut h: Option<Matrix> = None;
         for (li, layer) in self.layers.iter().enumerate() {
-            let init_states: Option<Vec<&LayerState>> =
-                init.map(|lanes| lanes.iter().map(|lane| &lane[li]).collect());
             let input = h.as_ref().unwrap_or(x);
-            let states = states_out.as_deref_mut().map(Vec::as_mut_slice);
-            let (out, _) = layer.run(input, batch, init_states.as_deref(), false, states, ws);
+            let init = init.map(|states| &states[li]);
+            let (out, _) = layer.run(input, init, false, states_out.as_deref_mut(), ws);
             if let Some(prev) = h.replace(out) {
                 ws.give_matrix(prev);
             }

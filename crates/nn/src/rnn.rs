@@ -21,8 +21,9 @@ impl Cell for RnnCell {
     const GATES: usize = 1;
     const HAS_C: bool = false;
     const SEPARATE_ZH: bool = false;
-    // The activated gate block H + hidden H (the same values, kept twice).
-    const ACTIVATIONS: usize = 2;
+    const GATES_ARE_HIDDENS: bool = true;
+    // Hidden H, which is also the activated gate block.
+    const ACTIVATIONS: usize = 1;
 
     /// Xavier input weights; orthogonal recurrent weights keep vanilla RNNs
     /// stable.
@@ -40,7 +41,7 @@ impl Cell for RnnCell {
         _cs: &mut [f64],
         _tc: &mut [f64],
     ) {
-        wh.addmm_into(hs, hs.len() / wh.rows, z);
+        wh.addmm_into(hs, 1, z);
         for zv in z.iter_mut() {
             *zv = zv.tanh();
         }
@@ -64,7 +65,7 @@ impl Cell for RnnCell {
     }
 }
 
-// The tests below resume and batch through these.
+// The tests below resume through these.
 #[cfg(test)]
 use crate::workspace::{LayerState, NnWorkspace};
 
@@ -99,13 +100,12 @@ mod tests {
         let r = Rnn::new(3, 4, 2, &mut init::rng(13));
         let x = seq(6, 3, 14);
         let mut ws = NnWorkspace::new();
-        let full = r.infer_batch(&x, 1, None, None, &mut ws);
+        let full = r.infer_ws(&x, None, None, &mut ws);
         let prefix = Matrix::from_vec(5, 3, x.data[..15].to_vec());
-        let mut states = Vec::new();
-        let _ = r.infer_batch(&prefix, 1, None, Some(&mut states), &mut ws);
+        let mut states: Vec<LayerState> = Vec::new();
+        let _ = r.infer_ws(&prefix, None, Some(&mut states), &mut ws);
         let last = Matrix::from_vec(1, 3, x.data[15..].to_vec());
-        let init: Vec<&[LayerState]> = vec![&states[0]];
-        let resumed = r.infer_batch(&last, 1, Some(&init), None, &mut ws);
+        let resumed = r.infer_ws(&last, Some(&states), None, &mut ws);
         assert_eq!(resumed.row(0), full.row(5));
     }
 

@@ -7,19 +7,16 @@
 //! initialised with gain 16). [`EncoderKind`] swaps the encoder for the
 //! Fig. 8 ablation (RNN / Transformer).
 //!
-//! Scoring runs on the fused recurrent kernels: [`SequenceRegressor::predict_into`]
-//! draws all scratch from an internal pooled [`NnWorkspace`],
-//! [`SequenceRegressor::predict_batch`] packs equal-length sequences into
-//! time-major lanes for one fused pass per length bucket, and
-//! [`SequenceRegressor::encode_state`] / [`SequenceRegressor::predict_state_into`]
-//! let callers resume a recurrent encoder from a saved [`EncoderState`] so an
-//! extended sequence only pays for its new suffix (the prefix cache in
-//! `fastft-core` builds on this). All of these produce bitwise-identical
-//! results to one another because every path runs the same kernel with the
-//! same summation order.
+//! Scoring runs one sequence at a time on the fused recurrent kernels:
+//! [`SequenceRegressor::predict_into`] draws all scratch from an internal
+//! pooled [`NnWorkspace`], and [`SequenceRegressor::encode_state`] /
+//! [`SequenceRegressor::predict_state_into`] let callers resume a recurrent
+//! encoder from a saved [`EncoderState`] so an extended sequence only pays
+//! for its new suffix (the prefix cache in `fastft-core` builds on this).
+//! Both produce bitwise-identical results because they run the same kernel
+//! with the same summation order.
 
 use std::cell::RefCell;
-use std::collections::BTreeMap;
 
 use crate::activation::Activation;
 use crate::dense::Dense;
@@ -269,7 +266,7 @@ impl SequenceRegressor {
             Encoder::Recurrent(r) => {
                 let mut x = ws.take_matrix(tokens.len(), self.emb.dim());
                 self.emb.infer_into(tokens, &mut x);
-                let h = with_stack!(r, s => s.infer_batch(&x, 1, None, None, ws));
+                let h = with_stack!(r, s => s.infer_ws(&x, None, None, ws));
                 ws.give_matrix(x);
                 self.head_infer_into(h.row(h.rows - 1), out, ws);
                 ws.give_matrix(h);
@@ -283,37 +280,6 @@ impl SequenceRegressor {
                 self.head_infer_into(&self.enc.pool(&h), out, ws);
             }
         }
-    }
-
-    /// Score many sequences at once. Sequences are bucketed by length and
-    /// each bucket runs as one fused time-major pass, so the per-timestep
-    /// GEMMs amortise over all lanes. Every output is bitwise-identical to
-    /// calling [`SequenceRegressor::predict`] per sequence.
-    pub fn predict_batch(&self, seqs: &[&[usize]]) -> Vec<Vec<f64>> {
-        let Encoder::Recurrent(enc) = &self.enc else {
-            // A Transformer re-attends over each whole sequence.
-            return seqs.iter().map(|s| self.predict(s)).collect();
-        };
-        let mut out = vec![vec![0.0; self.out_dim()]; seqs.len()];
-        let mut buckets: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
-        for (i, s) in seqs.iter().enumerate() {
-            assert!(!s.is_empty(), "empty token sequence");
-            buckets.entry(s.len()).or_default().push(i);
-        }
-        let ws = &mut *self.ws.borrow_mut();
-        for (&t_len, idxs) in &buckets {
-            let lanes = idxs.len();
-            let bucket: Vec<&[usize]> = idxs.iter().map(|&i| seqs[i]).collect();
-            let mut x = ws.take_matrix(t_len * lanes, self.emb.dim());
-            self.emb.infer_batch_into(&bucket, &mut x);
-            let h = with_stack!(enc, s => s.infer_batch(&x, lanes, None, None, ws));
-            ws.give_matrix(x);
-            for (bi, &i) in idxs.iter().enumerate() {
-                self.head_infer_into(h.row((t_len - 1) * lanes + bi), &mut out[i], ws);
-            }
-            ws.give_matrix(h);
-        }
-        out
     }
 
     /// Encode `suffix` starting from `prefix` (or from scratch when `None`),
@@ -332,15 +298,12 @@ impl SequenceRegressor {
         let ws = &mut *self.ws.borrow_mut();
         let mut x = ws.take_matrix(suffix.len(), self.emb.dim());
         self.emb.infer_into(suffix, &mut x);
-        let init: Option<Vec<&[LayerState]>> = prefix.map(|p| vec![p.layers.as_slice()]);
-        let mut states: Vec<Vec<LayerState>> = Vec::new();
-        let h = with_stack!(enc, s => s.infer_batch(&x, 1, init.as_deref(), Some(&mut states), ws));
+        let init = prefix.map(|p| p.layers.as_slice());
+        let mut layers = Vec::new();
+        let h = with_stack!(enc, s => s.infer_ws(&x, init, Some(&mut layers), ws));
         ws.give_matrix(x);
         ws.give_matrix(h);
-        EncoderState {
-            layers: states.pop().expect("one lane"),
-            len: prefix.map_or(0, EncoderState::len) + suffix.len(),
-        }
+        EncoderState { layers, len: prefix.map_or(0, EncoderState::len) + suffix.len() }
     }
 
     /// Run the head on a saved encoder state (last layer's hidden is the
@@ -531,18 +494,6 @@ mod tests {
             let mut out = [0.0];
             m.predict_into(&toks, &mut out);
             assert_eq!(out.to_vec(), m.predict(&toks), "{}", kind.label());
-        }
-    }
-
-    #[test]
-    fn predict_batch_matches_predict() {
-        let m = SequenceRegressor::new(10, 8, 8, EncoderKind::Lstm { layers: 2 }, &[8, 1], 0.01, 5);
-        let seqs: Vec<Vec<usize>> =
-            vec![vec![1, 2, 3], vec![4, 5], vec![6, 7, 8], vec![9], vec![2, 4]];
-        let refs: Vec<&[usize]> = seqs.iter().map(Vec::as_slice).collect();
-        let batched = m.predict_batch(&refs);
-        for (seq, b) in seqs.iter().zip(&batched) {
-            assert_eq!(*b, m.predict(seq));
         }
     }
 

@@ -1,10 +1,9 @@
 //! Parity suite for the fused NN hot path (PR 3).
 //!
-//! The fused kernels, batched inference and prefix-cached scoring are
-//! pure performance work: every one of them must produce **bitwise
-//! identical** numbers to the straightforward reference path. Each test
-//! here pins one of those equivalences at the integration level, across
-//! crate boundaries.
+//! The fused kernels and prefix-cached scoring are pure performance work:
+//! each must produce **bitwise identical** numbers to the straightforward
+//! reference path. Each test here pins one of those equivalences at the
+//! integration level, across crate boundaries.
 
 use fastft_core::novelty::NoveltyEstimator;
 use fastft_core::predictor::{PerformancePredictor, PredictorConfig};
@@ -81,23 +80,10 @@ fn fused_backward_gradchecks_against_reference_forward() {
 }
 
 #[test]
-fn predict_batch_is_bitwise_identical_to_predict() {
-    let seqs = sequences();
-    let refs: Vec<&[usize]> = seqs.iter().map(Vec::as_slice).collect();
-    for kind in encoder_kinds() {
-        let net = SequenceRegressor::new(12, 8, 8, kind, &[6, 1], 1e-3, 17);
-        let batched = net.predict_batch(&refs);
-        for (seq, row) in seqs.iter().zip(&batched) {
-            assert_eq!(row, &net.predict(seq), "{kind:?} {seq:?}");
-        }
-    }
-}
-
-#[test]
 fn prefix_cached_scoring_is_bitwise_identical_to_cold() {
     for kind in encoder_kinds() {
         let net = SequenceRegressor::new(12, 8, 8, kind, &[6, 1], 1e-3, 19);
-        let mut cache = PrefixCache::new(32);
+        let mut cache = PrefixCache::default();
         // Score a growing sequence twice: the second pass runs entirely from
         // cached prefix states.
         let full: Vec<usize> = vec![1, 4, 2, 8, 5, 7, 1, 3];
@@ -112,17 +98,11 @@ fn prefix_cached_scoring_is_bitwise_identical_to_cold() {
 }
 
 #[test]
-fn predictor_cached_and_batched_paths_match_plain_predict() {
+fn predictor_cached_path_matches_plain_predict() {
     let mut p = PerformancePredictor::new(12, PredictorConfig::default(), 23);
     let seqs = sequences();
     for seq in &seqs {
         assert_eq!(p.predict_cached(seq), p.predict(seq));
-    }
-    let refs: Vec<&[usize]> = seqs.iter().map(Vec::as_slice).collect();
-    let mut out = vec![0.0; seqs.len()];
-    p.predict_batch(&refs, &mut out);
-    for (seq, got) in seqs.iter().zip(&out) {
-        assert_eq!(*got, p.predict(seq));
     }
     // Training invalidates the cache; the cached path must track the new
     // weights instead of serving stale states.
@@ -205,7 +185,7 @@ fn encoder_outputs_match_golden_bits() {
 /// not multiples of the matrix kernel's strip, for every recurrent kind.
 /// Each net takes eight `train_step`s on sequences of 40–100 tokens; the
 /// hash covers every loss, the final parameters, both Adam moments,
-/// `predict`, a three-lane `predict_batch` and a prefix-resumed
+/// `predict` on three more sequences and a prefix-resumed
 /// `encode_state`. `FASTFT_GOLDEN_CAPTURE=1` prints the live bits instead
 /// of asserting.
 #[test]
@@ -231,7 +211,7 @@ fn training_at_paper_shape_matches_golden_bits() {
             .collect()
     };
     let train: Vec<Vec<usize>> = [40, 47, 55, 63, 71, 80, 90, 100].map(&mut tokens).to_vec();
-    let lanes: Vec<Vec<usize>> = (0..3).map(|_| tokens(45)).collect();
+    let unseen: Vec<Vec<usize>> = (0..3).map(|_| tokens(45)).collect();
     let capture = std::env::var("FASTFT_GOLDEN_CAPTURE").is_ok();
     for (kind, emb, hidden, bits) in golden {
         let mut net = SequenceRegressor::new(VOCAB, emb, hidden, kind, &[16, 1], 1e-2, 43);
@@ -246,9 +226,8 @@ fn training_at_paper_shape_matches_golden_bits() {
         for seq in &train {
             fnv_f64s(&mut hash, &net.predict(seq));
         }
-        let refs: Vec<&[usize]> = lanes.iter().map(Vec::as_slice).collect();
-        for row in net.predict_batch(&refs) {
-            fnv_f64s(&mut hash, &row);
+        for seq in &unseen {
+            fnv_f64s(&mut hash, &net.predict(seq));
         }
         let prefix = net.encode_state(None, &train[7][..60]);
         let resumed = net.encode_state(Some(&prefix), &train[7][60..]);
